@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -120,7 +121,17 @@ class VerificationReport:
 
     @property
     def passed(self):
+        """No check failed; a skipped check does not count against."""
         return all(c["status"] != "fail" for c in self.checks.values())
+
+    @property
+    def status(self):
+        """FAIL; UNDECIDED if nothing failed but the IP check was skipped;
+        else PASS."""
+        if not self.passed:
+            return "FAIL"
+        ip = self.checks.get("intersection_property", {})
+        return "UNDECIDED" if ip.get("status") == "skip" else "PASS"
 
     def to_dict(self, no_timing=False):
         out = {
@@ -129,7 +140,7 @@ class VerificationReport:
             "checks": self.checks,
             "schlafli": list(self.schlafli),
             "order": self.order,
-            "status": "PASS" if self.passed else "FAIL",
+            "status": self.status,
         }
         if not no_timing:
             out["timing_ms"] = round(self.timing_ms, 1)
@@ -451,6 +462,11 @@ def _verify_star(args):
     return verify_instance(*args)
 
 
+def _workers(jobs, items):
+    """jobs clamped to [1, min(cpu count, number of work items)]."""
+    return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
 def verify_catalog(n, ids=None, jobs=1):
     """Verify every admissible instance on n points; returns reports."""
     if n % 2 == 0 and n // 2 < 7:
@@ -460,6 +476,7 @@ def verify_catalog(n, ids=None, jobs=1):
         for fid, params in catalog_instances(n)
         if ids is None or fid in ids
     ]
+    jobs = _workers(jobs, len(work))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_star, work))
@@ -632,12 +649,13 @@ def exhaustive_search(
     if ambient.order() % target:
         raise ValueError("subgroup_order must divide the ambient order")
     started = time.perf_counter()
+    model = _AmbientModel(ambient)
+    jobs = _workers(jobs, len(model.involution_indices()))
     if jobs > 1:
         raw, completed = _parallel_raw_search(
-            ambient, min_rank, max_rank, target, budget_sec, jobs
+            model, min_rank, max_rank, target, budget_sec, jobs
         )
     else:
-        model = _AmbientModel(ambient)
         raw, completed = _raw_search(
             model, min_rank, max_rank, target, budget_sec, None
         )
@@ -761,16 +779,15 @@ def _search_chunk(args):
     )
 
 
-def _parallel_raw_search(ambient, min_rank, max_rank, target, budget_sec, jobs):
-    model = _AmbientModel(ambient)
+def _parallel_raw_search(model, min_rank, max_rank, target, budget_sec, jobs):
     npos = len(model.involution_indices())
     slices = [list(range(i, npos, jobs)) for i in range(jobs)]
+    ambient = model.group
     gens_images = [g.images for g in ambient.generators]
     work = [
         (gens_images, ambient.degree, min_rank, max_rank, target, budget_sec,
          chunk)
         for chunk in slices
-        if chunk
     ]
     raw = []
     completed = True

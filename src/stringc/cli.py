@@ -134,11 +134,10 @@ def _cmd_verify(args, out):
         out.write(reports_to_json(reports, no_timing=args.no_timing))
     else:
         for rep in reports:
-            status = "PASS" if rep.passed else "FAIL"
             bad = [k for k, v in rep.checks.items() if v["status"] == "fail"]
             skipped = [k for k, v in rep.checks.items() if v["status"] == "skip"]
             line = (
-                f"{status} {rep.instance} {json.dumps(rep.params, sort_keys=True)}"
+                f"{rep.status} {rep.instance} {json.dumps(rep.params, sort_keys=True)}"
                 f" order={rep.order}"
                 f" schlafli={{{','.join(map(str, rep.schlafli))}}}"
             )
@@ -156,10 +155,12 @@ def _cmd_verify(args, out):
                 message = desc.domain_error(args.n)
                 if message:
                     out.write(f"# skipped {desc.id}: {message}\n")
-        total = len(reports)
-        failed = sum(1 for r in reports if not r.passed)
-        out.write(f"# {total - failed}/{total} instances pass\n")
-    return VERIFY_FAIL if any(not r.passed for r in reports) else 0
+        statuses = [r.status for r in reports]
+        summary = f"# {statuses.count('PASS')}/{len(reports)} instances pass"
+        if "UNDECIDED" in statuses:
+            summary += f", {statuses.count('UNDECIDED')} undecided"
+        out.write(summary + "\n")
+    return VERIFY_FAIL if any(r.status != "PASS" for r in reports) else 0
 
 
 def _cmd_search(args, out):
@@ -212,6 +213,13 @@ def _cmd_search(args, out):
     return 0 if outcome.completed else VERIFY_FAIL
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stringc",
@@ -251,7 +259,7 @@ def build_parser():
     add_family_opts(p, family_required=False)
     p.add_argument("--all", action="store_true", help="verify every instance")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -264,7 +272,7 @@ def build_parser():
     p.add_argument("--budget-sec", type=float)
     p.add_argument("--stretch", action="store_true",
                    help="use the 15-minute stretch budget")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_search)

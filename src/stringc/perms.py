@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 
 class PermError(ValueError):
@@ -208,6 +209,7 @@ class StabilizerChain:
         self.degree = degree
         self.base_prefix = tuple(base_prefix)
         self.levels = []
+        self._coset_levels = None
         seeded = False
         for g in generators:
             if not g.is_identity():
@@ -321,6 +323,51 @@ class StabilizerChain:
                 yield from rec(level - 1, deep * lvl.transversal[a])
 
         yield from rec(len(self.levels) - 1, Permutation.identity(self.degree))
+
+    def coset_orbit_size(self, generators):
+        """Number of right cosets G*s of this group G, s in <generators>.
+
+        They form the orbit of the coset G under right multiplication by
+        S = <generators>, so there are |S| / |S meet G| of them; no element
+        of either group is listed.  A coset is named by its
+        canonical representative: descending the chain, each level keeps
+        the transversal element that gives the least image of the level's
+        base point (Holt, Eick and O'Brien, Handbook of Computational Group
+        Theory, 2005, 4.6).
+        """
+        if self._coset_levels is None:
+            # Per level: the images of x on the orbit, the base point, and
+            # the products t_a * x; itemgetters keep the descent in C.
+            self._coset_levels = [
+                (itemgetter(*lvl.transversal), lvl.point,
+                 {a: itemgetter(*t.images) for a, t in lvl.transversal.items()})
+                for lvl in self.levels
+                if len(lvl.transversal) > 1
+            ]
+        levels = self._coset_levels
+
+        def canonical(images):
+            # images of an element x; returns the representative of G*x.
+            for on_orbit, point, times in levels:
+                a = images.index(min(on_orbit(images)))
+                if a != point:
+                    images = times[a](images)
+            return images
+
+        gens = [g.images for g in generators]
+        start = canonical(tuple(range(self.degree)))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            found = []
+            for x in frontier:
+                for g in gens:
+                    y = canonical(tuple(map(g.__getitem__, x)))
+                    if y not in seen:
+                        seen.add(y)
+                        found.append(y)
+            frontier = found
+        return len(seen)
 
     def prefix_stabilizer_generators(self):
         """Home generators fixing every base_prefix point.

@@ -9,12 +9,10 @@ forms duals and parabolic subgroups.
 
 from __future__ import annotations
 
-from .perms import (
-    PermGroup,
-    Permutation,
-    StabilizerChain,
-    intersection_order_bounded,
-)
+from .perms import PermGroup, StabilizerChain
+
+# Unused here, but bench/tracing.py patches stringc.sggi by this name.
+from .perms import intersection_order_bounded  # noqa: F401
 
 
 class SggiError(ValueError):
@@ -26,7 +24,7 @@ class SggiError(ValueError):
 
 
 class IPBudgetExceeded(RuntimeError):
-    """Intersection-property check would need an oversized intersection."""
+    """Intersection-property check would need an oversized coset orbit."""
 
 
 class IndexSet(frozenset):
@@ -195,38 +193,33 @@ class IPResult:
         return f"IPResult(failed, J={sorted(j)}, K={sorted(k)})"
 
 
-_COUNT_LIMIT = 3 * 10**6
-_SET_CACHE_LIMIT = 500_000
-
-
-def _pack(images, shift):
-    value = 0
-    for i in images:
-        value = (value << shift) | i
-    return value
+# Largest coset orbit a meet may need: the bound |S| / |<J & K>| on the
+# orbit that SubsetLattice.intersection_order enumerates.
+_ORBIT_CAP = 10**5
 
 
 class SubsetLattice:
-    """Orders and element sets of generator-subset subgroups, lazily built.
+    """Orders and pairwise meets of generator-subset subgroups, lazily built.
 
-    Masks generating equal subgroups share one element-set slot, so pair
-    intersections are computed once per distinct subgroup pair.  Shared by
-    the naive and recursive checkers so verification builds it only once.
+    Masks generating equal subgroups share one group id, so each meet is
+    computed once per distinct subgroup pair.  Shared by the naive and
+    recursive checkers so verification builds it only once.
     """
 
     def __init__(self, s: Sggi):
         self.s = s
-        self.shift = max(4, (s.degree - 1).bit_length())
         self._chains = {}
         self._group_id = {}
         self._id_members = []  # representative (chain, order) per group id
         self._elsets = {}
         self._pair_orders = {}
 
+    def gens(self, mask):
+        return [self.s.gens[i] for i in range(self.s.rank) if mask >> i & 1]
+
     def chain(self, mask):
         if mask not in self._chains:
-            gens = [self.s.gens[i] for i in range(self.s.rank) if mask >> i & 1]
-            self._chains[mask] = StabilizerChain(gens, self.s.degree)
+            self._chains[mask] = StabilizerChain(self.gens(mask), self.s.degree)
         return self._chains[mask]
 
     def order(self, mask):
@@ -236,7 +229,7 @@ class SubsetLattice:
         if mask not in self._group_id:
             chain = self.chain(mask)
             order = chain.order()
-            gens = [self.s.gens[i] for i in range(self.s.rank) if mask >> i & 1]
+            gens = self.gens(mask)
             for gid, (other_chain, other_order) in enumerate(self._id_members):
                 if other_order == order and all(
                     other_chain.contains(g) for g in gens
@@ -249,58 +242,34 @@ class SubsetLattice:
         return self._group_id[mask]
 
     def element_set(self, mask):
+        """Every element of <mask> as an image tuple; a test reference."""
         gid = self.group_id(mask)
         if gid not in self._elsets:
-            if self.order(mask) > _SET_CACHE_LIMIT:
-                raise IPBudgetExceeded(
-                    f"subset subgroup of order {self.order(mask)} exceeds "
-                    f"the element-set budget"
-                )
-            shift = self.shift
             self._elsets[gid] = frozenset(
-                _pack(g.images, shift) for g in self.chain(mask).elements()
+                g.images for g in self.chain(mask).elements()
             )
         return self._elsets[gid]
 
-    def intersection_order(self, mask_j, mask_k, allow_backtrack=True):
-        """|<J> meet <K>|; element sets when they fit, else backtracking.
+    def intersection_order(self, mask_j, mask_k):
+        """|<J> meet <K>| = |S| / |orbit of L among its right cosets under S|.
 
-        With allow_backtrack=False an oversized pair raises instead, which
-        keeps the all-pairs oracle from sinking time into huge meets.
+        S is the smaller of the two subgroups and L the larger.  The orbit
+        has at most |S| / |<J & K>| cosets; past _ORBIT_CAP this raises
+        IPBudgetExceeded instead.
         """
         key = tuple(sorted((self.group_id(mask_j), self.group_id(mask_k))))
         if key not in self._pair_orders:
             small, large = sorted((mask_j, mask_k), key=self.order)
-            try:
-                value = len(self.element_set(small) & self.element_set(large))
-            except IPBudgetExceeded:
-                if not allow_backtrack:
-                    raise
-                value = self._bounded_pair(small, large)
-            self._pair_orders[key] = value
+            bound = self.order(small) // self.order(mask_j & mask_k)
+            if bound > _ORBIT_CAP:
+                raise IPBudgetExceeded(
+                    f"meet of subgroups of orders {self.order(small)} and "
+                    f"{self.order(large)} may need {bound} cosets, over the "
+                    f"cap of {_ORBIT_CAP}"
+                )
+            orbit = self.chain(large).coset_orbit_size(self.gens(small))
+            self._pair_orders[key] = self.order(small) // orbit
         return self._pair_orders[key]
-
-    def _bounded_pair(self, small, large):
-        expected = self.order(small & large)
-        if expected > _COUNT_LIMIT:
-            raise IPBudgetExceeded(
-                f"meet of subgroups of orders {self.order(small)} and "
-                f"{self.order(large)} exceeds the counting budget "
-                f"(lower bound {expected})"
-            )
-        a = PermGroup(
-            [self.s.gens[i] for i in range(self.s.rank) if small >> i & 1],
-            self.s.degree,
-        )
-        b = PermGroup(
-            [self.s.gens[i] for i in range(self.s.rank) if large >> i & 1],
-            self.s.degree,
-        )
-        count = intersection_order_bounded(a, b, expected)
-        if count > expected:
-            # Exact value unknown past the bound, but inequality suffices.
-            return expected + 1
-        return count
 
 
 def _interval_mask(lo, hi):
@@ -315,9 +284,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             meet = mask_j & mask_k
             if meet in (mask_j, mask_k):
                 continue  # one side contains the other: holds trivially
-            if lattice.intersection_order(
-                mask_j, mask_k, allow_backtrack=False
-            ) != lattice.order(meet):
+            if lattice.intersection_order(mask_j, mask_k) != lattice.order(meet):
                 to_set = lambda m: frozenset(
                     i for i in range(s.rank) if m >> i & 1
                 )
@@ -325,67 +292,39 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
     return IPResult(True)
 
 
-_TOTAL_COUNT_BUDGET = 2 * 10**6
-
-
 def _check_recursive(s: Sggi, lattice=None) -> IPResult:
     """Interval sweep equivalent of the standard recursion.
 
     The intersection property holds iff the rank-2 base cases and the
     interval condition |<lo..hi-1> meet <lo+1..hi>| = |<lo+1..hi-1>| hold
-    for every interval; intervals are processed cheapest-first under a
-    global budget, so inexpensive disproofs are found even on instances
-    whose largest parabolics are out of reach (those end in a budget skip).
+    for every interval (McMullen and Schulte, Abstract Regular Polytopes,
+    Prop. 2E16).  Intervals are visited in (length, lo) order.  One whose
+    meet is past the orbit cap is passed over, so a later interval can
+    still disprove the property; otherwise the check ends in a budget skip.
     """
     lattice = lattice or SubsetLattice(s)
     for lo in range(s.rank - 1):
         if s.gens[lo] == s.gens[lo + 1]:
             return IPResult(False, (frozenset([lo]), frozenset([lo + 1])))
 
-    jobs = []
+    skipped = None
     for length in range(3, s.rank + 1):
         for lo in range(0, s.rank - length + 1):
             hi = lo + length - 1
-            left = lattice.order(_interval_mask(lo, hi - 1))
-            right = lattice.order(_interval_mask(lo + 1, hi))
-            middle = lattice.order(_interval_mask(lo + 1, hi - 1))
-            if min(left, right) <= _SET_CACHE_LIMIT:
-                cost = min(left, right)
-            elif middle <= _COUNT_LIMIT:
-                cost = 3 * middle
-            else:
-                cost = None
-            jobs.append((cost if cost is not None else float("inf"),
-                         length, lo, hi))
-    jobs.sort()
-
-    # When some interval can never be verified the outcome is at best a
-    # budget skip, so only a small budget is worth spending hunting for a
-    # cheap disproof first.
-    provable = jobs[-1][0] != float("inf") if jobs else True
-    budget = _TOTAL_COUNT_BUDGET if provable else _TOTAL_COUNT_BUDGET // 10
-
-    spent = 0
-    unverified = None
-    for cost, _, lo, hi in jobs:
-        if cost == float("inf") or spent + cost > budget:
-            unverified = (lo, hi, cost)
-            break
-        spent += cost
-        meet = lattice.intersection_order(
-            _interval_mask(lo, hi - 1), _interval_mask(lo + 1, hi)
-        )
-        if meet != lattice.order(_interval_mask(lo + 1, hi - 1)):
-            return IPResult(
-                False,
-                (frozenset(range(lo, hi)), frozenset(range(lo + 1, hi + 1))),
-            )
-    if unverified is not None:
-        lo, hi, cost = unverified
-        raise IPBudgetExceeded(
-            f"interval [{lo},{hi}] needs ~{cost:.0f} element visits; budget "
-            f"spent {spent:.0f} of {budget}"
-        )
+            try:
+                meet = lattice.intersection_order(
+                    _interval_mask(lo, hi - 1), _interval_mask(lo + 1, hi)
+                )
+            except IPBudgetExceeded as exc:
+                skipped = skipped or f"interval [{lo},{hi}]: {exc}"
+                continue
+            if meet != lattice.order(_interval_mask(lo + 1, hi - 1)):
+                return IPResult(
+                    False,
+                    (frozenset(range(lo, hi)), frozenset(range(lo + 1, hi + 1))),
+                )
+    if skipped is not None:
+        raise IPBudgetExceeded(skipped)
     return IPResult(True)
 
 

@@ -400,6 +400,22 @@ class TestCriterion8:
             if oracle and oracle["status"] != "skip":
                 assert oracle["evidence"]["modes_agree"], rep.instance
 
+    def test_every_verdict_decided_catalog(self, catalog_reports):
+        """No n=14 report is UNDECIDED, HIGHC#1's IP included; the naive
+        oracle refutes T8#5 and T8#7 with witnesses confirmed by closure."""
+        reports, _ = catalog_reports
+        by_id = {r.instance: r for r in reports}
+        assert [r.instance for r in reports if r.status == "UNDECIDED"] == []
+        assert by_id["HIGHC#1"].checks["intersection_property"]["status"] == (
+            "pass")
+        for fid in ("T8#5", "T8#7"):
+            oracle = by_id[fid].checks["naive_oracle"]
+            assert oracle["status"] == "fail", fid
+            assert oracle["evidence"]["naive"] is False
+            assert oracle["evidence"]["modes_agree"]
+            orders = _witness_orders(fid, *oracle["evidence"]["witness"])
+            assert orders[2] > orders[3], (fid, orders)
+
 
 class TestCriterion9:
     def test_round_trips_and_dot_goldens(self):

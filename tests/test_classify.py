@@ -11,6 +11,7 @@ from stringc.classify import (
     exhaustive_search,
     reports_to_json,
     signature,
+    verify_catalog,
     verify_instance,
 )
 from stringc.perms import Permutation, parse_perm
@@ -119,6 +120,76 @@ class TestVerifyInstance:
         rep7 = verify_instance("T8#7", {"n": 14})
         assert rep7.checks["intersection_property"]["evidence"]["witness"] == [
             [1, 2, 3], [2, 3, 4],
+        ]
+
+
+    def test_skipped_ip_is_undecided(self, monkeypatch):
+        monkeypatch.setattr("stringc.sggi._ORBIT_CAP", 0)
+        rep = verify_instance("P61#2", {"n": 14})
+        assert rep.checks["intersection_property"]["status"] == "skip"
+        assert "cap of 0" in rep.checks["intersection_property"]["evidence"][
+            "reason"]
+        assert rep.passed  # nothing failed
+        assert rep.status == "UNDECIDED"
+        assert rep.to_dict()["status"] == "UNDECIDED"
+
+    def test_t8_4_at_16_decides_ip(self):
+        rep = verify_instance("T8#4", {"n": 16, "i": 4})
+        assert rep.checks["intersection_property"]["status"] == "pass"
+        assert rep.status == "PASS"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __call__(self, max_workers):
+        self.seen.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerClamp:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("stringc.classify.ProcessPoolExecutor",
+                            _RecordingPool(seen))
+        return seen
+
+    def test_verify_catalog(self, pools, monkeypatch):
+        monkeypatch.setattr("stringc.classify.os.cpu_count", lambda: 64)
+        ids = {"REP2N#1", "REP2N#2"}
+        reports = verify_catalog(14, ids=ids, jobs=1000)
+        assert pools == [2]  # two work items
+        monkeypatch.setattr("stringc.classify.os.cpu_count", lambda: 1)
+        assert [r.to_dict(no_timing=True) for r in reports] == [
+            r.to_dict(no_timing=True)
+            for r in verify_catalog(14, ids=ids, jobs=1000)
+        ]
+        assert pools == [2]  # one CPU: no pool at all
+
+    def test_exhaustive_search(self, pools, monkeypatch):
+        ambient = named_ambient("sym4-deg4")  # nine involutions
+        monkeypatch.setattr("stringc.classify.os.cpu_count", lambda: 3)
+        capped = exhaustive_search(ambient, 2, 3, jobs=1000)
+        monkeypatch.setattr("stringc.classify.os.cpu_count", lambda: 64)
+        exhaustive_search(ambient, 2, 3, jobs=1000)
+        exhaustive_search(ambient, 2, 3, jobs=-5)
+        assert pools == [3, 9]
+        serial = exhaustive_search(ambient, 2, 3)
+        assert [sig.key() for _, sig in capped.items] == [
+            sig.key() for _, sig in serial.items
         ]
 
 

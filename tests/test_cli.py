@@ -66,6 +66,25 @@ class TestVerifyCommand:
         assert payload[0]["status"] == "PASS"
         assert "timing_ms" not in payload[0]
 
+    def test_undecided_exit_1(self, monkeypatch):
+        monkeypatch.setattr("stringc.sggi._ORBIT_CAP", 0)
+        code, text = run(["verify", "P61#2", "--n", "14", "--no-timing"])
+        assert code == 1
+        assert text.startswith("UNDECIDED P61#2 ")
+        assert "skipped=intersection_property,naive_oracle" in text
+        assert text.endswith("# 0/1 instances pass, 1 undecided\n")
+        code, text = run(["verify", "P61#2", "--n", "14", "--format", "json",
+                          "--no-timing"])
+        assert code == 1 and json.loads(text)[0]["status"] == "UNDECIDED"
+
+    def test_jobs_must_be_positive(self, capsys):
+        for argv in (["verify", "--n", "14", "--all", "--jobs", "0"],
+                     ["search", "--ambient", "sym4-deg4", "--min-rank", "2",
+                      "--jobs", "-1"]):
+            code, text = run(argv)
+            assert code == 2 and text == ""
+            assert "--jobs: must be at least 1" in capsys.readouterr().err
+
     def test_byte_identical_with_no_timing(self):
         args = ["verify", "T6#21", "--n", "14", "--format", "json", "--no-timing"]
         assert run(args) == run(args)

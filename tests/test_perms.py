@@ -283,6 +283,33 @@ class TestIntersection:
             assert a.intersection(b).order() == expected
 
 
+class TestCosetOrbit:
+    def test_orbit_is_index_of_meet(self):
+        # |S| / |S meet G| against element sets, for random generators whose
+        # chains rarely have a base point that is least in its orbit.
+        rng = random.Random(29)
+        for _ in range(30):
+            n = rng.randint(3, 7)
+            groups = []
+            for _ in range(2):
+                gens = []
+                for _ in range(rng.randint(1, 2)):
+                    images = list(range(n))
+                    rng.shuffle(images)
+                    gens.append(Permutation(images))
+                groups.append(gens)
+            s_gens, g_gens = groups
+            s_elements = brute_force_elements(s_gens, n)
+            meet = s_elements & brute_force_elements(g_gens, n)
+            orbit = StabilizerChain(g_gens, n).coset_orbit_size(s_gens)
+            assert orbit == len(s_elements) // len(meet)
+
+    def test_subgroup_fixes_its_coset(self):
+        chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
+                                 parse_perm("(1,2)", 5)], 5)
+        assert chain.coset_orbit_size([parse_perm("(2,4)(3,5)", 5)]) == 1
+
+
 class TestChainDetails:
     def test_base_prefix_forces_prefix_levels(self):
         gens = [parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)]

@@ -4,12 +4,19 @@ import random
 
 import pytest
 
-from stringc.perms import PermGroup, Permutation, parse_perm
+from stringc.perms import (
+    PermGroup,
+    Permutation,
+    brute_force_elements,
+    parse_perm,
+)
 from stringc.sggi import (
     IndexSet,
+    IPBudgetExceeded,
     SchlafliSymbol,
     Sggi,
     SggiError,
+    SubsetLattice,
     check_intersection_property,
     dual,
     is_independent,
@@ -210,3 +217,33 @@ class TestIntersectionProperty:
         s = mk(5, "(1,2)(3,4)", "(2,3)(4,5)")
         assert check_intersection_property(s, "naive").passed
         assert check_intersection_property(s, "recursive").passed
+
+
+class TestIntersectionOrder:
+    def test_matches_element_sets_on_randoms(self):
+        # Every mask pair of random sggis of degree <= 8, against both the
+        # closure oracle and the lattice's own element sets.
+        rng = random.Random(11)
+        pairs = 0
+        for _ in range(12):
+            s = random_sggi(rng, rng.randint(4, 8), rng.randint(2, 4))
+            lattice = SubsetLattice(s)
+            masks = range(1, 1 << s.rank)
+            closures = {m: brute_force_elements(lattice.gens(m), s.degree)
+                        for m in masks}
+            for j in masks:
+                for k in masks:
+                    expected = len(closures[j] & closures[k])
+                    assert lattice.intersection_order(j, k) == expected
+                    assert expected == len(
+                        lattice.element_set(j) & lattice.element_set(k))
+                    pairs += 1
+        assert pairs > 500
+
+    def test_cap_raises_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr("stringc.sggi._ORBIT_CAP", 0)
+        s = simplex(5)
+        with pytest.raises(IPBudgetExceeded, match="cap of 0"):
+            SubsetLattice(s).intersection_order(0b0011, 0b0110)
+        with pytest.raises(IPBudgetExceeded, match=r"interval \[0,2\]"):
+            check_intersection_property(s, "recursive")
