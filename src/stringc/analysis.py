@@ -32,13 +32,6 @@ class BlockActionResult:
     kernel_order: int
     kernel_generators: tuple
 
-    def wreath_index(self):
-        """Index of the analysed group inside C2 wr (image), size-2 blocks."""
-        block_count = self.image.degree
-        return (2**block_count * self.image_order) // (
-            self.image_order * self.kernel_order
-        )
-
 
 def block_action(group: PermGroup, system: BlockSystem) -> BlockActionResult:
     """Image on block indices plus the kernel (block-fixing subgroup).
@@ -75,9 +68,6 @@ def block_action(group: PermGroup, system: BlockSystem) -> BlockActionResult:
     if result.image_order * result.kernel_order != group.order():
         raise AnalysisError("kernel/image order mismatch (chain bug)")
     return result
-
-
-KERNEL_CLASSES = ("TRIVIAL", "C2", "C2^(m-1)", "C2^m", "OTHER")
 
 
 def classify_kernel(result: BlockActionResult, m: int) -> str:
@@ -386,7 +376,6 @@ __all__ = [
     "AnalysisError",
     "BlockActionResult",
     "block_action",
-    "KERNEL_CLASSES",
     "classify_kernel",
     "all_swap_permutation",
     "LCRDecomposition",

@@ -15,9 +15,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .ambients import named_ambient
 from .analysis import (
     NOT_IN_KERNEL,
     AnalysisError,
@@ -496,10 +495,6 @@ def reports_to_json(reports, no_timing=False):
 # ---------------------------------------------------------------------------
 
 
-class SearchBudgetExceeded(RuntimeError):
-    pass
-
-
 @dataclass
 class SearchOutcome:
     items: list  # (Sggi, Signature), deduplicated, deterministic order
@@ -512,63 +507,49 @@ class SearchOutcome:
 
 
 class _AmbientModel:
-    """Index arithmetic for a small group: elements as 0..N-1."""
+    """Index arithmetic for a small group: elements as 0..N-1, with the
+    full multiplication table."""
 
     TABLE_LIMIT = 4096
 
     def __init__(self, group: PermGroup):
         order = group.order()
-        if order > 10**6:
+        if order > self.TABLE_LIMIT:
             raise ValueError(
-                f"ambient of order {order} exceeds the search budget 10^6"
+                f"ambient of order {order} exceeds the search limit "
+                f"{self.TABLE_LIMIT}"
             )
         self.group = group
         self.elements = sorted(group.elements())
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.identity = self.index[tuple(range(group.degree))]
         self.order = len(self.elements)
-        if self.order <= self.TABLE_LIMIT:
-            self._table = [
-                [self.index[(a * b).images] for b in self.elements]
-                for a in self.elements
-            ]
-        else:
-            self._table = None
+        self._table = [
+            [self.index[(a * b).images] for b in self.elements]
+            for a in self.elements
+        ]
 
     def mul(self, a, b):
-        if self._table is not None:
-            return self._table[a][b]
-        return self.index[(self.elements[a] * self.elements[b]).images]
+        return self._table[a][b]
 
     def involution_indices(self):
         return [i for i, g in enumerate(self.elements) if g.is_involution()]
 
     def subgroup_closure(self, gens):
         """Index set of the subgroup generated by the given element indices."""
+        table = self._table
         current = {self.identity}
         frontier = [self.identity]
-        if self._table is not None:
-            table = self._table
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    row = table[a]
-                    for g in gens:
-                        b = row[g]
-                        if b not in current:
-                            current.add(b)
-                            nxt.append(b)
-                frontier = nxt
-        else:
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in gens:
-                        b = self.mul(a, g)
-                        if b not in current:
-                            current.add(b)
-                            nxt.append(b)
-                frontier = nxt
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = table[a]
+                for g in gens:
+                    b = row[g]
+                    if b not in current:
+                        current.add(b)
+                        nxt.append(b)
+            frontier = nxt
         return frozenset(current)
 
     def index2_subgroups(self):
@@ -617,10 +598,6 @@ class _AmbientModel:
                     frozenset().union(*(cosets[i] for i in chosen))
                 )
         return out
-
-
-def _accepts(model, intervals, depth, target):
-    return len(intervals[(0, depth - 1)]) == target
 
 
 def exhaustive_search(
@@ -762,7 +739,7 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             dfs(tuple_pos, new_intervals, new_half)
             tuple_pos.pop()
 
-    dfs([], {}, (1 << 64) - 1)
+    dfs([], {}, -1)  # all bits set: every index-2 subgroup still common
     return found, completed[0]
 
 
@@ -803,7 +780,8 @@ def _dedup(degree, raw_tuples):
 
     The stored representative is the orientation (sggi or its dual) with the
     lexicographically smaller signature, so reported Schlafli symbols are
-    canonical under reversal.
+    canonical under reversal.  Both orientations generate the same group, so
+    the dual's signature is this one with the Schlafli symbol reversed.
     """
     merged = 0
     items = {}
@@ -811,10 +789,9 @@ def _dedup(degree, raw_tuples):
         gens = [Permutation(images) for images in images_list]
         s = Sggi(gens)
         sig = signature(s)
-        co = dual(s)
-        co_sig = signature(co)
-        if co_sig.key() < sig.key():
-            s, sig = co, co_sig
+        if sig.schlafli[::-1] < sig.schlafli:
+            s = dual(s)
+            sig = replace(sig, schlafli=sig.schlafli[::-1])
         key = sig.key()
         if key in items:
             merged += 1
@@ -822,17 +799,6 @@ def _dedup(degree, raw_tuples):
         items[key] = (s, sig)
     ordered = [items[k] for k in sorted(items)]
     return ordered, merged
-
-
-def search_named_ambient(name, min_rank, max_rank=None, subgroup_order=None,
-                         budget_sec=None, jobs=1):
-    ambient = named_ambient(name)
-    if max_rank is None:
-        max_rank = ambient.degree - 1
-    return exhaustive_search(
-        ambient, min_rank, max_rank, subgroup_order=subgroup_order,
-        budget_sec=budget_sec, jobs=jobs,
-    )
 
 
 def brute_force_search(ambient: PermGroup, min_rank, max_rank):
@@ -871,8 +837,6 @@ __all__ = [
     "catalog_instances",
     "reports_to_json",
     "SearchOutcome",
-    "SearchBudgetExceeded",
     "exhaustive_search",
-    "search_named_ambient",
     "brute_force_search",
 ]

@@ -164,9 +164,6 @@ def _cmd_verify(args, out):
 
 
 def _cmd_search(args, out):
-    budget = args.budget_sec
-    if budget is None:
-        budget = 900.0 if args.stretch else 120.0
     ambient = named_ambient(args.ambient)
     max_rank = args.max_rank if args.max_rank else ambient.degree - 1
     outcome = exhaustive_search(
@@ -174,7 +171,7 @@ def _cmd_search(args, out):
         args.min_rank,
         max_rank,
         subgroup_order=args.subgroup_order,
-        budget_sec=budget,
+        budget_sec=args.budget_sec,
         jobs=args.jobs,
         transitive_only=args.transitive_only,
     )
@@ -269,9 +266,7 @@ def build_parser():
     p.add_argument("--max-rank", type=int)
     p.add_argument("--subgroup-order", type=int)
     p.add_argument("--transitive-only", action="store_true")
-    p.add_argument("--budget-sec", type=float)
-    p.add_argument("--stretch", action="store_true",
-                   help="use the 15-minute stretch budget")
+    p.add_argument("--budget-sec", type=float, default=120.0)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--no-timing", action="store_true")

@@ -3,8 +3,8 @@
 Permutations are stored as 0-based image tuples; all parsing and printing is
 1-based to match the usual cycle notation.  Groups carry a deterministic
 stabilizer chain (Schreier-Sims, smallest-moved-point-first base) giving exact
-orders, membership, element enumeration and subgroup intersection at the
-scales this package targets (degree <= ~64).
+orders, membership, element enumeration, coset orbits and bounded
+intersection orders at the scales this package targets (degree <= ~64).
 """
 
 from __future__ import annotations
@@ -536,62 +536,18 @@ class PermGroup:
                 stack.append(BlockSystem(self.degree, lifted))
         return sorted(out.values(), key=lambda s: (s.block_size, s.blocks))
 
-    def intersection(self, other):
-        """The subgroup of elements lying in both groups.
-
-        Enumerates the smaller side when it fits the budget, otherwise
-        backtracks over its chain.
-        """
-        if self.degree != other.degree:
-            raise PermError("degree mismatch")
-        small, large = (self, other) if self.order() <= other.order() else (other, self)
-        if small.order() <= 10**6:
-            found = [g for g in small.elements() if g in large]
-            return PermGroup(_reduce_generators(found, self.degree), self.degree)
-        return PermGroup(_intersection_backtrack(small, large), self.degree)
-
-
-def _reduce_generators(elements, degree):
-    """Trim an element list to a short generating set of the same group."""
-    target = len(elements)
-    gens = []
-    chain = StabilizerChain([], degree)
-    for g in elements:
-        if chain.contains(g):
-            continue
-        gens.append(g)
-        chain = StabilizerChain(gens, degree)
-        if chain.order() == target:
-            break
-    return gens
-
-
-def _intersection_backtrack(a, b):
-    """DFS over a's chain collecting elements that also lie in b.
-
-    b's chain is rebuilt with a's base as forced prefix so that partial base
-    images can be tested for realizability in b.
-    """
-    found = []
-    _intersection_dfs(a, b, found.append, None)
-    return _reduce_generators(found, a.degree)
-
 
 def intersection_order_bounded(a, b, bound):
     """|a meet b| counted by backtracking, early-exiting above bound.
 
     Returns the exact order when it is <= bound, otherwise bound + 1.
-    Useful when both sides are too large to enumerate but the expected
-    intersection is moderate.
+    Descends a's chain; b's chain is rebuilt with a's base as forced
+    prefix so that partial base images can be tested for realizability
+    in b.
     """
-    return _intersection_dfs(a, b, None, bound)
-
-
-def _intersection_dfs(a, b, emit, bound):
     chain_a = a.chain
-    base = chain_a.base()
-    chain_b = StabilizerChain(b.generators, b.degree, base_prefix=base)
-    count = [0]
+    chain_b = StabilizerChain(b.generators, b.degree, base_prefix=chain_a.base())
+    count = 0
 
     def b_feasible(w, upto):
         g = w
@@ -607,13 +563,12 @@ def _intersection_dfs(a, b, emit, bound):
 
     def rec(level, w):
         # w = t_level-1 * ... * t_0 pins the images of base[:level].
-        if bound is not None and count[0] > bound:
+        nonlocal count
+        if count > bound:
             return
         if level == len(chain_a.levels):
             if chain_b.contains(w):
-                count[0] += 1
-                if emit is not None:
-                    emit(w)
+                count += 1
             return
         lvl = chain_a.levels[level]
         for y in sorted(lvl.transversal):
@@ -622,7 +577,7 @@ def _intersection_dfs(a, b, emit, bound):
                 rec(level + 1, w2)
 
     rec(0, Permutation.identity(a.degree))
-    return count[0]
+    return count
 
 
 class BlockSystem:
@@ -714,11 +669,6 @@ def brute_force_order(generators, degree, limit=10**6):
     return len(brute_force_elements(generators, degree, limit))
 
 
-def wreath_c2_order(block_count, image_order):
-    """Order of C2 wr H on 2m points given |H| = image_order."""
-    return (2**block_count) * image_order
-
-
 __all__ = [
     "Permutation",
     "PermGroup",
@@ -728,5 +678,4 @@ __all__ = [
     "parse_perm",
     "brute_force_elements",
     "brute_force_order",
-    "wreath_c2_order",
 ]

@@ -1,11 +1,13 @@
 """Signatures, verification reports and the exhaustive search."""
 
 import json
+import time
 
 import pytest
 
 from stringc.ambients import named_ambient
 from stringc.classify import (
+    _AmbientModel,
     brute_force_search,
     catalog_instances,
     exhaustive_search,
@@ -14,7 +16,7 @@ from stringc.classify import (
     verify_catalog,
     verify_instance,
 )
-from stringc.perms import Permutation, parse_perm
+from stringc.perms import PermGroup, parse_perm
 from stringc.sggi import Sggi, dual
 
 
@@ -239,3 +241,39 @@ class TestSearch:
         outcome = exhaustive_search(named_ambient("alt5-deg6"), 3, 5)
         for s, _ in outcome.items:
             assert check_intersection_property(s, "naive").passed
+
+    def test_ambient_over_table_limit_rejected(self):
+        sym7 = PermGroup(
+            [parse_perm("(1,2)", 7), parse_perm("(1,2,3,4,5,6,7)", 7)]
+        )
+        assert sym7.order() == 5040
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="order 5040"):
+            exhaustive_search(sym7, 2, 3)
+        assert time.perf_counter() - started < 5
+
+    def test_index2_mask_keeps_subgroups_past_64(self, monkeypatch):
+        # 64 empty index-2 "subgroups" first: a 64-bit mask seed would lose
+        # every real one, so the order-36 row would prune everything.
+        real = _AmbientModel.index2_subgroups
+        monkeypatch.setattr(_AmbientModel, "index2_subgroups",
+                            lambda self: [frozenset()] * 64 + real(self))
+        outcome = exhaustive_search(
+            named_ambient("s3wrS2-deg6"), 4, 5,
+            subgroup_order=36, transitive_only=True,
+        )
+        assert outcome.schlafli_set() == [(3, 2, 3)]
+
+
+class TestDedup:
+    @pytest.mark.parametrize("name, min_rank", [
+        ("alt5-deg6", 3), ("sym5-deg6", 3), ("c2wrS3-deg6", 4),
+    ])
+    def test_stored_orientation_and_signature(self, name, min_rank):
+        # The stored signature is the stored sggi's own, and its dual's is
+        # never smaller.
+        outcome = exhaustive_search(named_ambient(name), min_rank, 5)
+        assert outcome.items
+        for s, sig in outcome.items:
+            assert sig == signature(s)
+            assert signature(dual(s)).key() >= sig.key()

@@ -14,6 +14,7 @@ from stringc.perms import (
     StabilizerChain,
     brute_force_elements,
     brute_force_order,
+    intersection_order_bounded,
     parse_perm,
 )
 
@@ -222,44 +223,9 @@ class TestBlockSystems:
             BlockSystem(4, [(1, 2), (2, 3)])
 
 
-class TestIntersection:
-    def test_self_intersection(self):
-        g = grp(4, "(1,2)", "(2,3)")
-        assert g.intersection(g).order() == g.order()
-
-    def test_disjoint_transposition_groups(self):
-        assert grp(3, "(1,2)").intersection(grp(3, "(2,3)")).order() == 1
-
-    def test_simplex_parabolics(self):
-        # In S5 with Coxeter generators, <r1,r2,r3> meet <r0,r1,r2> is <r1,r2>.
-        rho = [parse_perm(f"({i},{i + 1})", 5) for i in range(1, 5)]
-        left = PermGroup(rho[1:4], 5)
-        right = PermGroup(rho[0:3], 5)
-        meet = left.intersection(right)
-        assert left.order() == right.order() == 24
-        assert meet.order() == 6
-        expected = brute_force_elements(rho[1:3], 5)
-        assert {g for g in meet.elements()} == expected
-
-    def test_degree_mismatch(self):
-        with pytest.raises(PermError):
-            grp(3, "(1,2)").intersection(grp(4, "(1,2)"))
-
-    def test_abelian_product_formula(self):
-        # |A meet B| * |AB| = |A| * |B| for subgroups of an abelian group.
-        rng = random.Random(3)
-        base = [parse_perm("(1,2)", 8), parse_perm("(3,4)", 8),
-                parse_perm("(5,6)", 8), parse_perm("(7,8)", 8)]
-        for _ in range(20):
-            a = PermGroup(rng.sample(base, rng.randint(1, 3)), 8)
-            b = PermGroup(rng.sample(base, rng.randint(1, 3)), 8)
-            ea, eb = set(a.elements()), set(b.elements())
-            ab = {x * y for x in ea for y in eb}
-            assert a.intersection(b).order() * len(ab) == len(ea) * len(eb)
-
+class TestIntersectionOrderBounded:
     def test_backtrack_agrees_with_enumeration(self):
-        from stringc.perms import _intersection_backtrack
-
+        # Exact order at or under the bound, bound + 1 above it.
         rng = random.Random(17)
         for _ in range(25):
             n = 7
@@ -276,11 +242,11 @@ class TestIntersection:
                 groups.append(PermGroup(gens, n))
             a, b = groups
             expected = len(set(a.elements()) & set(b.elements()))
-            via_backtrack = PermGroup(
-                _intersection_backtrack(a, b) or [Permutation.identity(n)], n
-            ).order()
-            assert via_backtrack == expected
-            assert a.intersection(b).order() == expected
+            for bound in (expected, expected + 1, 5040):
+                assert intersection_order_bounded(a, b, bound) == expected
+            for bound in range(min(expected, 4)):
+                assert intersection_order_bounded(a, b, bound) == bound + 1
+            assert intersection_order_bounded(a, b, expected - 1) == expected
 
 
 class TestCosetOrbit:
