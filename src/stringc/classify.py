@@ -3,9 +3,11 @@
 verify_instance runs every checkable claim about one catalog instance and
 returns a structured report; verify_catalog sweeps a whole degree.
 exhaustive_search enumerates ordered involution tuples of a small ambient
-group with lossless pruning (commuting property, independence, divisibility
-and incremental interval intersection checks) and returns the string
-C-groups found, deduplicated by signature and duality.
+group with lossless pruning (commuting property, independence, divisibility,
+incremental interval intersection checks and, for index-2 targets, the
+tuple's image in G/<g^2>) and returns the string C-groups found,
+deduplicated by signature and duality.  Serial and pooled runs share one
+code path: the work items go through _map, inline for one job.
 """
 
 from __future__ import annotations
@@ -215,9 +217,9 @@ def verify_instance(family_id, params, with_duality=True) -> VerificationReport:
     _expect(report, "rank", s.rank == desc.rank_for(n),
             rank=s.rank, expected=desc.rank_for(n))
     _expect(report, "round_trip", sggi_to_graph(s) == graph)
-    _expect(report, "independent", is_independent(s))
-
     lattice = SubsetLattice(s)
+    _expect(report, "independent", is_independent(s, lattice=lattice))
+
     try:
         recursive = check_intersection_property(s, "recursive", lattice=lattice)
         report.record(
@@ -457,13 +459,19 @@ def catalog_instances(n):
     return out
 
 
-def _verify_star(args):
-    return verify_instance(*args)
-
-
 def _workers(jobs, items):
     """jobs clamped to [1, min(cpu count, number of work items)]."""
     return max(1, min(jobs, os.cpu_count() or 1, items))
+
+
+def _map(fn, work, jobs):
+    """[fn(*item) for item in work], in a process pool when more than one
+    worker is allowed."""
+    jobs = _workers(jobs, len(work))
+    if jobs == 1:
+        return [fn(*item) for item in work]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *zip(*work)))
 
 
 def verify_catalog(n, ids=None, jobs=1):
@@ -471,17 +479,11 @@ def verify_catalog(n, ids=None, jobs=1):
     if n % 2 == 0 and n // 2 < 7:
         raise ValueError(f"catalog degrees need n/2 >= 7, got n = {n}")
     work = [
-        (fid, params, True)
+        (fid, params)
         for fid, params in catalog_instances(n)
         if ids is None or fid in ids
     ]
-    jobs = _workers(jobs, len(work))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_star, work))
-    else:
-        reports = [_verify_star(item) for item in work]
-    return reports
+    return _map(verify_instance, work, jobs)
 
 
 def reports_to_json(reports, no_timing=False):
@@ -519,7 +521,6 @@ class _AmbientModel:
                 f"ambient of order {order} exceeds the search limit "
                 f"{self.TABLE_LIMIT}"
             )
-        self.group = group
         self.elements = sorted(group.elements())
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.identity = self.index[tuple(range(group.degree))]
@@ -552,52 +553,24 @@ class _AmbientModel:
             frontier = nxt
         return frozenset(current)
 
-    def index2_subgroups(self):
-        """Element sets of all index-2 subgroups.
+    def square_cosets(self):
+        """Coset id of every element modulo Phi = <g^2 : g in G>, and the
+        number of cosets.
 
-        Every hom to C2 kills squares and commutators, so the index-2
-        subgroups are exactly the preimages of the hyperplanes of the
-        elementary abelian quotient by the subgroup those generate.
+        Every index-2 subgroup contains Phi, and G/Phi is elementary
+        abelian, so a set of elements lies in a common index-2 subgroup
+        exactly when its image in G/Phi is a proper subgroup.
         """
-        from itertools import combinations
-
-        seeds = {self.mul(i, i) for i in range(self.order)}
-        gens = [self.index[g.images] for g in self.group.generators]
-        inv = {i: self.index[self.elements[i].inverse().images] for i in gens}
-        for a in gens:
-            for b in gens:
-                seeds.add(self.mul(self.mul(a, b), self.mul(inv[a], inv[b])))
-        core = self.subgroup_closure(sorted(seeds))
-        if len(core) == self.order:
-            return []
-        cosets = []
-        seen = set()
+        phi = self.subgroup_closure(sorted({self.mul(i, i)
+                                            for i in range(self.order)}))
+        coset = [None] * self.order
+        q = 0
         for i in range(self.order):
-            if i in seen:
-                continue
-            coset = frozenset(self.mul(i, c) for c in core)
-            seen |= coset
-            cosets.append(coset)
-        member = {}
-        for idx, coset in enumerate(cosets):
-            for e in coset:
-                member[e] = idx
-        identity_idx = member[self.identity]
-        q = len(cosets)
-        reps = [min(c) for c in cosets]
-        qmul = [
-            [member[self.mul(reps[a], reps[b])] for b in range(q)]
-            for a in range(q)
-        ]
-        out = []
-        rest = [i for i in range(q) if i != identity_idx]
-        for half in combinations(rest, q // 2 - 1):
-            chosen = {identity_idx, *half}
-            if all(qmul[a][b] in chosen for a in chosen for b in chosen):
-                out.append(
-                    frozenset().union(*(cosets[i] for i in chosen))
-                )
-        return out
+            if coset[i] is None:
+                for c in phi:
+                    coset[self.mul(i, c)] = q
+                q += 1
+        return coset, q
 
 
 def exhaustive_search(
@@ -627,16 +600,17 @@ def exhaustive_search(
         raise ValueError("subgroup_order must divide the ambient order")
     started = time.perf_counter()
     model = _AmbientModel(ambient)
-    jobs = _workers(jobs, len(model.involution_indices()))
-    if jobs > 1:
-        raw, completed = _parallel_raw_search(
-            model, min_rank, max_rank, target, budget_sec, jobs
-        )
-    else:
-        raw, completed = _raw_search(
-            model, min_rank, max_rank, target, budget_sec, None
-        )
-        raw = [[model.elements[e].images for e in combo] for combo in raw]
+    npos = len(model.involution_indices())
+    jobs = _workers(jobs, npos)
+    work = [
+        (model, min_rank, max_rank, target, budget_sec, range(i, npos, jobs))
+        for i in range(jobs)
+    ]
+    raw = []
+    completed = True
+    for found, done in _map(_raw_search, work, jobs):
+        raw += [[model.elements[e].images for e in combo] for combo in found]
+        completed = completed and done
     if transitive_only:
         raw = [
             combo
@@ -652,7 +626,8 @@ def exhaustive_search(
 def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     """DFS over element indices; returns accepted tuples (element indices).
 
-    first_slice restricts the depth-0 candidates (for parallel splitting).
+    first_slice holds the involution positions allowed at depth 0, so that
+    the search splits into independent work items.
     """
     invs = model.involution_indices()
     npos = len(invs)
@@ -663,25 +638,17 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             if model.mul(invs[i], invs[j]) == model.mul(invs[j], invs[i]):
                 mask |= 1 << j
         commute.append(mask)
-    all_mask = (1 << npos) - 1
+    first_mask = sum(1 << p for p in first_slice)
 
-    half_masks = None
+    coset = None
     if target * 2 == model.order:
-        subgroups = model.index2_subgroups()
-        if subgroups:
-            half_masks = []
-            for i in range(npos):
-                mask = 0
-                for k, sub in enumerate(subgroups):
-                    if invs[i] in sub:
-                        mask |= 1 << k
-                half_masks.append(mask)
+        coset, q = model.square_cosets()
 
     deadline = None if budget_sec is None else time.perf_counter() + budget_sec
     found = []
     completed = [True]
 
-    def dfs(tuple_pos, intervals, half_mask):
+    def dfs(tuple_pos, intervals):
         depth = len(tuple_pos)
         if deadline is not None and time.perf_counter() > deadline:
             completed[0] = False
@@ -693,14 +660,17 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
                 found.append([invs[p] for p in tuple_pos])
         if depth == max_rank:
             return
-        allowed = all_mask
+        allowed = first_mask if depth == 0 else (1 << npos) - 1
         for p in tuple_pos[:-1]:
             allowed &= commute[p]
-        if depth == 0 and first_slice is not None:
-            slice_mask = 0
-            for p in first_slice:
-                slice_mask |= 1 << p
-            allowed &= slice_mask
+        hyperplane = None
+        if coset is not None:
+            generated = intervals[(0, depth - 1)] if depth else (model.identity,)
+            image = {coset[h] for h in generated}
+            if 2 * len(image) == q:
+                # A generator outside this hyperplane of G/Phi would leave
+                # no index-2 subgroup containing the whole tuple.
+                hyperplane = image
         remaining_for_min = max(0, min_rank - depth - 1)
         mask = allowed
         while mask:
@@ -710,11 +680,8 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             gen = invs[pos]
             if depth and gen in intervals[(0, depth - 1)]:
                 continue  # dependent candidates can never pass the IP
-            new_half = half_mask
-            if half_masks is not None:
-                new_half = half_mask & half_masks[pos]
-                if not new_half:
-                    continue  # no common index-2 subgroup remains
+            if hyperplane is not None and coset[gen] not in hyperplane:
+                continue
             new_intervals = dict(intervals)
             new_intervals[(depth, depth)] = frozenset(
                 (model.identity, gen)
@@ -736,43 +703,11 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             if not ip_ok:
                 continue
             tuple_pos.append(pos)
-            dfs(tuple_pos, new_intervals, new_half)
+            dfs(tuple_pos, new_intervals)
             tuple_pos.pop()
 
-    dfs([], {}, -1)  # all bits set: every index-2 subgroup still common
+    dfs([], {})
     return found, completed[0]
-
-
-def _search_chunk(args):
-    gens_images, degree, min_rank, max_rank, target, budget_sec, chunk = args
-    group = PermGroup([Permutation(im) for im in gens_images], degree)
-    model = _AmbientModel(group)
-    raw, completed = _raw_search(
-        model, min_rank, max_rank, target, budget_sec, chunk
-    )
-    return (
-        [[model.elements[e].images for e in combo] for combo in raw],
-        completed,
-    )
-
-
-def _parallel_raw_search(model, min_rank, max_rank, target, budget_sec, jobs):
-    npos = len(model.involution_indices())
-    slices = [list(range(i, npos, jobs)) for i in range(jobs)]
-    ambient = model.group
-    gens_images = [g.images for g in ambient.generators]
-    work = [
-        (gens_images, ambient.degree, min_rank, max_rank, target, budget_sec,
-         chunk)
-        for chunk in slices
-    ]
-    raw = []
-    completed = True
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk_raw, chunk_done in pool.map(_search_chunk, work):
-            raw.extend(chunk_raw)
-            completed = completed and chunk_done
-    return raw, completed
 
 
 def _dedup(degree, raw_tuples):
@@ -801,14 +736,17 @@ def _dedup(degree, raw_tuples):
     return ordered, merged
 
 
-def brute_force_search(ambient: PermGroup, min_rank, max_rank):
+def brute_force_search(ambient: PermGroup, min_rank, max_rank,
+                       subgroup_order=None):
     """Unpruned oracle: all involution tuples, naive IP check at the end.
 
     Only usable for toy ambients; certifies that the pruned search is
-    lossless (same deduplicated output).
+    lossless (same deduplicated output).  With subgroup_order, keeps the
+    tuples generating a subgroup of that order instead of the ambient.
     """
     from itertools import product
 
+    target = subgroup_order or ambient.order()
     model = _AmbientModel(ambient)
     invs = model.involution_indices()
     raw = []
@@ -819,7 +757,7 @@ def brute_force_search(ambient: PermGroup, min_rank, max_rank):
                 s = Sggi(gens)
             except Exception:
                 continue
-            if PermGroup(gens, ambient.degree).order() != ambient.order():
+            if PermGroup(gens, ambient.degree).order() != target:
                 continue
             if not check_intersection_property(s, "naive").passed:
                 continue

@@ -1,6 +1,8 @@
 """Command-line front end: instantiate, verify, search, convert, render.
 
-Exit status: 0 success, 1 verification failure, 2 usage or domain error.
+Exit status: 0 success, 1 verification failure, 2 usage or domain error,
+or a runtime error such as a --jobs worker process dying (reported as
+"stringc: error: ..." on stderr, never as a traceback).
 All output is deterministic; verify output is byte-identical across runs
 under --no-timing.
 """
@@ -285,7 +287,7 @@ def run_cli(argv, out=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args, out)
-    except (FamilyDomainError, KeyError, ValueError) as exc:
+    except (FamilyDomainError, KeyError, ValueError, RuntimeError) as exc:
         print(f"stringc: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -39,6 +39,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return (Permutation._raw, (self.images,))
+
     @property
     def degree(self):
         return len(self.images)
@@ -125,10 +128,6 @@ class Permutation:
     def cycle_type(self):
         """Sorted tuple of nontrivial cycle lengths."""
         return tuple(sorted(len(c) for c in self.cycles()))
-
-    def support(self):
-        """1-based points moved by the permutation."""
-        return [i + 1 for i, j in enumerate(self.images) if i != j]
 
     def is_even(self):
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
@@ -605,12 +604,6 @@ class BlockSystem:
     @property
     def block_size(self):
         return len(self.blocks[0])
-
-    def block_index(self, point):
-        for i, block in enumerate(self.blocks):
-            if point in block:
-                return i
-        raise PermError(f"point {point} not covered")
 
     def is_invariant_under(self, g):
         block_set = set(self.blocks)

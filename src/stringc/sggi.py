@@ -123,10 +123,6 @@ class Sggi:
     def group(self):
         return PermGroup(list(self.gens), self.degree)
 
-    def subgroup(self, indices):
-        indices = sorted(set(indices))
-        return PermGroup([self.gens[i] for i in indices], self.degree)
-
     def __eq__(self, other):
         return isinstance(other, Sggi) and self.gens == other.gens
 
@@ -165,13 +161,18 @@ def parabolic(s: Sggi, keep) -> Sggi:
     return Sggi([s.gens[i] for i in indices], strict=False)
 
 
-def is_independent(s: Sggi) -> bool:
-    """No generator lies in the subgroup generated by the others."""
-    for i in range(s.rank):
-        others = s.subgroup(j for j in range(s.rank) if j != i)
-        if s.gens[i] in others:
-            return False
-    return True
+def is_independent(s: Sggi, lattice=None) -> bool:
+    """No generator lies in the subgroup generated by the others.
+
+    A SubsetLattice passed in keeps the chains of the generator subsets for
+    later intersection-property checks.
+    """
+    lattice = lattice or SubsetLattice(s)
+    full = (1 << s.rank) - 1
+    return not any(
+        lattice.chain(full & ~(1 << i)).contains(g)
+        for i, g in enumerate(s.gens)
+    )
 
 
 class IPResult:

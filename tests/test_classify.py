@@ -7,7 +7,6 @@ import pytest
 
 from stringc.ambients import named_ambient
 from stringc.classify import (
-    _AmbientModel,
     brute_force_search,
     catalog_instances,
     exhaustive_search,
@@ -157,8 +156,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestWorkerClamp:
@@ -252,17 +251,40 @@ class TestSearch:
             exhaustive_search(sym7, 2, 3)
         assert time.perf_counter() - started < 5
 
-    def test_index2_mask_keeps_subgroups_past_64(self, monkeypatch):
-        # 64 empty index-2 "subgroups" first: a 64-bit mask seed would lose
-        # every real one, so the order-36 row would prune everything.
-        real = _AmbientModel.index2_subgroups
-        monkeypatch.setattr(_AmbientModel, "index2_subgroups",
-                            lambda self: [frozenset()] * 64 + real(self))
-        outcome = exhaustive_search(
-            named_ambient("s3wrS2-deg6"), 4, 5,
-            subgroup_order=36, transitive_only=True,
+    @pytest.mark.parametrize("name, order", [
+        ("c2wrS3-deg6", 24), ("s3wrS2-deg6", 36),
+    ])
+    def test_index2_rule_vs_brute_force(self, name, order):
+        # G/Phi has order at least 4 on both ambients, so the index-2 rule
+        # prunes past depth 0.
+        ambient = named_ambient(name)
+        pruned = exhaustive_search(ambient, 2, 3, subgroup_order=order)
+        brute = brute_force_search(ambient, 2, 3, subgroup_order=order)
+        assert pruned.items
+        assert [sig.key() for _, sig in pruned.items] == [
+            sig.key() for _, sig in brute.items
+        ]
+
+    def test_index2_rule_many_hyperplanes(self):
+        # C2^5 has 31 index-2 subgroups: the rule must not list them.
+        c2_5 = PermGroup([parse_perm(f"({i},{i + 1})", 10)
+                          for i in range(1, 10, 2)])
+        started = time.perf_counter()
+        outcome = exhaustive_search(c2_5, 2, 3, subgroup_order=16)
+        assert outcome.completed and outcome.items == []
+        assert time.perf_counter() - started < 5
+
+    def test_index2_row_parallel_matches_serial(self):
+        ambient = named_ambient("s3wrS2-deg6")
+        serial, parallel = (
+            exhaustive_search(ambient, 4, 5, subgroup_order=36,
+                              transitive_only=True, jobs=jobs)
+            for jobs in (1, 2)
         )
-        assert outcome.schlafli_set() == [(3, 2, 3)]
+        assert serial.schlafli_set() == [(3, 2, 3)]
+        assert [
+            [g.images for g in s.gens] for s, _ in serial.items
+        ] == [[g.images for g in s.gens] for s, _ in parallel.items]
 
 
 class TestDedup:

@@ -85,6 +85,18 @@ class TestVerifyCommand:
             assert code == 2 and text == ""
             assert "--jobs: must be at least 1" in capsys.readouterr().err
 
+    def test_runtime_error_exit_2(self, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr("stringc.cli.verify_catalog", broken)
+        code, text = run(["verify", "--n", "14", "--all", "--jobs", "2"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "stringc: error: a worker process died\n")
+
     def test_byte_identical_with_no_timing(self):
         args = ["verify", "T6#21", "--n", "14", "--format", "json", "--no-timing"]
         assert run(args) == run(args)

@@ -1,5 +1,6 @@
 """Permutation and group engine tests, including brute-force oracles."""
 
+import pickle
 import random
 
 import pytest
@@ -85,6 +86,14 @@ class TestPermutationAlgebra:
     def test_parity(self):
         assert not parse_perm("(1,2)", 4).is_even()
         assert parse_perm("(1,2,3)", 4).is_even()
+
+    def test_pickle_round_trip(self):
+        # Search work items carry permutations to worker processes.
+        p = parse_perm("(1,3,2)(4,5)", 6)
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and type(q) is Permutation
+        with pytest.raises(AttributeError):
+            q.images = ()
 
 
 class TestOrder:
