@@ -5,9 +5,10 @@ returns a structured report; verify_catalog sweeps a whole degree.
 exhaustive_search enumerates ordered involution tuples of a small ambient
 group with lossless pruning (commuting property, independence, divisibility,
 incremental interval intersection checks and, for index-2 targets, the
-tuple's image in G/<g^2>) and returns the string C-groups found,
-deduplicated by signature and duality.  Serial and pooled runs share one
-code path: the work items go through _map, inline for one job.
+tuple's image in G/<g^2>) and returns the string C-groups found, one per
+class of tuples conjugate in Sym(n) or dual to each other.  Serial and
+pooled runs share one code path: the work items go through _map, inline
+for one job.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .analysis import (
 )
 from .families import descriptor, family_catalog, duality_partner
 from .perms import BlockSystem, PermGroup, Permutation
-from .prgraph import graph_to_sggi, is_connected, sggi_to_graph
+from .prgraph import canonical_form, graph_to_sggi, is_connected, sggi_to_graph
 from .sggi import (
     IPBudgetExceeded,
     Sggi,
@@ -51,20 +52,14 @@ from .sggi import (
 
 @dataclass(frozen=True)
 class Signature:
-    """Conjugation-invariant fingerprint of an sggi.
-
-    A necessary-but-not-sufficient isomorphism invariant: equal signatures
-    are merged during deduplication and flagged, distinct signatures are
-    certainly distinct C-groups.
-    """
+    """What a search prints about an sggi: degree, rank, group order,
+    Schlafli symbol and the generators' cycle types."""
 
     degree: int
     rank: int
     order: int
     schlafli: tuple
     gen_cycle_types: tuple
-    block_shapes: tuple
-    kernel_classes: tuple
 
     def key(self):
         return (
@@ -73,33 +68,16 @@ class Signature:
             self.order,
             self.schlafli,
             self.gen_cycle_types,
-            self.block_shapes,
-            self.kernel_classes,
         )
 
 
 def signature(s: Sggi) -> Signature:
-    group = PermGroup(list(s.gens), s.degree)
-    if group.is_transitive():
-        systems = group.minimal_block_systems()
-        shapes = tuple(sorted((b.block_count, b.block_size) for b in systems))
-        kernels = tuple(
-            sorted(
-                classify_kernel(block_action(group, b), b.block_count)
-                for b in systems
-            )
-        )
-    else:
-        shapes = ()
-        kernels = ()
     return Signature(
         degree=s.degree,
         rank=s.rank,
-        order=group.order(),
+        order=PermGroup(list(s.gens), s.degree).order(),
         schlafli=tuple(schlafli(s)) if s.rank >= 2 else (),
         gen_cycle_types=tuple(sorted(g.cycle_type() for g in s.gens)),
-        block_shapes=shapes,
-        kernel_classes=kernels,
     )
 
 
@@ -182,7 +160,7 @@ def _expected_lcr_sizes(tag, rank):
     return (value(left), value(mid), value(right))
 
 
-def verify_instance(family_id, params, with_duality=True) -> VerificationReport:
+def verify_instance(family_id, params) -> VerificationReport:
     """Run every checkable predicate for one instance."""
     started = time.perf_counter()
     desc = descriptor(family_id)
@@ -273,15 +251,14 @@ def verify_instance(family_id, params, with_duality=True) -> VerificationReport:
     elif expected.get("blocks") == "m2":
         _verify_m2(report, desc, s, group, n)
 
-    if with_duality:
-        try:
-            partner = duality_partner(family_id, n)
-        except Exception:
-            partner = None
-        dd = sggi_to_graph(dual(dual(s))) == graph
-        report.record("duality", "pass" if dd else "fail",
-                      partner=partner if partner else "unlisted",
-                      dual_is_involution=dd)
+    try:
+        partner = duality_partner(family_id, n)
+    except Exception:
+        partner = None
+    dd = sggi_to_graph(dual(dual(s))) == graph
+    report.record("duality", "pass" if dd else "fail",
+                  partner=partner if partner else "unlisted",
+                  dual_is_involution=dd)
 
     report.timing_ms = (time.perf_counter() - started) * 1000
     return report
@@ -499,10 +476,10 @@ def reports_to_json(reports, no_timing=False):
 
 @dataclass
 class SearchOutcome:
-    items: list  # (Sggi, Signature), deduplicated, deterministic order
+    items: list  # (Sggi, Signature), one per class, deterministic order
     completed: bool
     elapsed_sec: float
-    merged_duplicates: int = 0  # tuples merged by equal signature or duality
+    merged_duplicates: int = 0  # raw tuples less the number of classes
 
     def schlafli_set(self):
         return sorted({item[1].schlafli for item in self.items})
@@ -588,8 +565,9 @@ def exhaustive_search(
     subgroup_order when given), satisfy the commuting property, and pass the
     incremental interval intersection-property criterion (lossless pruning;
     every interval parabolic of a string C-group is itself a string
-    C-group).  Results are deduplicated by signature and duality; output
-    order is deterministic and independent of the worker count.
+    C-group).  Tuples conjugate in Sym(n), directly or after reversal, are
+    merged by the canonical forms of their graphs; output order is
+    deterministic and independent of the worker count.
     transitive_only drops intransitive subgroups (only possible when
     subgroup_order is given).
     """
@@ -619,7 +597,7 @@ def exhaustive_search(
                 [Permutation(im) for im in combo], ambient.degree
             ).is_transitive()
         ]
-    items, merged = _dedup(ambient.degree, raw)
+    items, merged = _dedup(raw)
     return SearchOutcome(items, completed, time.perf_counter() - started, merged)
 
 
@@ -710,30 +688,33 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     return found, completed[0]
 
 
-def _dedup(degree, raw_tuples):
-    """Signature+duality deduplication over raw generator-image tuples.
+def _dedup(raw_tuples):
+    """Deduplication of raw generator-image tuples up to conjugacy in
+    Sym(n) and duality.
 
-    The stored representative is the orientation (sggi or its dual) with the
-    lexicographically smaller signature, so reported Schlafli symbols are
-    canonical under reversal.  Both orientations generate the same group, so
-    the dual's signature is this one with the Schlafli symbol reversed.
+    A tuple's key is the smaller canonical form of its graph and of its
+    dual's graph, so two tuples share a key exactly when they are conjugate,
+    directly or after reversal.  The first tuple of each class in sorted
+    order is kept, oriented so that its Schlafli symbol is no larger than
+    the reversed one.  Both orientations generate the same group, so the
+    dual's signature is this one with the Schlafli symbol reversed.
     """
-    merged = 0
-    items = {}
-    for images_list in sorted(raw_tuples):
-        gens = [Permutation(images) for images in images_list]
-        s = Sggi(gens)
+    raw_tuples = sorted(raw_tuples)
+    classes = {}
+    for images_list in raw_tuples:
+        s = Sggi([Permutation(images) for images in images_list])
+        key = min(canonical_form(sggi_to_graph(s)),
+                  canonical_form(sggi_to_graph(dual(s))))
+        classes.setdefault(key, s)
+    items = []
+    for key, s in classes.items():
         sig = signature(s)
         if sig.schlafli[::-1] < sig.schlafli:
             s = dual(s)
             sig = replace(sig, schlafli=sig.schlafli[::-1])
-        key = sig.key()
-        if key in items:
-            merged += 1
-            continue
-        items[key] = (s, sig)
-    ordered = [items[k] for k in sorted(items)]
-    return ordered, merged
+        items.append((sig.key(), key, s, sig))
+    items.sort(key=lambda item: item[:2])
+    return [(s, sig) for _, _, s, sig in items], len(raw_tuples) - len(classes)
 
 
 def brute_force_search(ambient: PermGroup, min_rank, max_rank,
@@ -762,7 +743,7 @@ def brute_force_search(ambient: PermGroup, min_rank, max_rank,
             if not check_intersection_property(s, "naive").passed:
                 continue
             raw.append([g.images for g in gens])
-    items, merged = _dedup(ambient.degree, raw)
+    items, merged = _dedup(raw)
     return SearchOutcome(items, True, 0.0, merged)
 
 

@@ -205,8 +205,8 @@ def _cmd_search(args, out):
         note = "complete" if outcome.completed else "budget exhausted"
         if outcome.merged_duplicates:
             note += (
-                f"; {outcome.merged_duplicates} tuples merged by signature"
-                f"/duality, multiplicity unknown"
+                f"; {outcome.merged_duplicates} tuples merged as conjugate"
+                f" or dual, multiplicity unknown"
             )
         out.write(f"# {len(outcome.items)} string C-groups ({note})\n")
     return 0 if outcome.completed else VERIFY_FAIL

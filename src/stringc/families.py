@@ -742,7 +742,6 @@ def _descriptor(table, number, tags, build, rank_for=_table_rank,
 
 def _build_catalog():
     odd_half = _even_degree_odd_half(7)
-    even_half_ok = _even_degree(7)
     t4 = []
     for number, build, tags, rank_for in [
         (1, _t4_1, _T4_TAGS_INTR, _table_rank_plus1),
@@ -872,7 +871,6 @@ def _build_catalog():
                     _t8_2, expected={"lcr": "1,r-1,0", "blocks": "m2",
                                      "order": "2*(n/2)!", "schlafli": "2,3..3"}),
     ]
-    del even_half_ok
     return t4 + t5 + t6 + t7 + t8 + extras
 
 

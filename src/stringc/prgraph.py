@@ -238,8 +238,11 @@ def emit_dot(g: PRGraph) -> str:
 # Canonical form under vertex renaming: per connected component, exact
 # individualization-refinement canonicalization (full branching over the
 # first non-singleton colour class); components then sorted and renumbered.
-# Exponential in principle, cheap for the near-path graphs this package
-# handles.
+# Each label is a matching, so a vertex with a colour of its own gives each
+# of its neighbours a colour of its own; in a connected component one
+# individualised vertex therefore refines to a discrete colouring, and
+# _canon_component has at most as many leaves as the first non-singleton
+# cell has vertices.
 # ---------------------------------------------------------------------------
 
 
@@ -332,7 +335,7 @@ def canonical_form(g: PRGraph):
 
 
 def isomorphic(a: PRGraph, b: PRGraph) -> bool:
-    """Label-preserving isomorphism under the canonical form heuristic."""
+    """Label-preserving isomorphism: equal canonical forms, an exact test."""
     return canonical_form(a) == canonical_form(b)
 
 

@@ -28,36 +28,7 @@ class IPBudgetExceeded(RuntimeError):
 
 
 class IndexSet(frozenset):
-    """Subsets of {0..r-1} with the usual named constructors.
-
-    all_but(r, i1, ..., ik) is the full set punctured at the given indices;
-    up_to / from_ / below / above give the interval sets, with optional
-    punctures.
-    """
-
-    @classmethod
-    def full(cls, rank):
-        return cls(range(rank))
-
-    @classmethod
-    def all_but(cls, rank, *excluded):
-        return cls(set(range(rank)) - set(excluded))
-
-    @classmethod
-    def up_to(cls, rank, i, *excluded):
-        return cls(set(range(0, i + 1)) - set(excluded))
-
-    @classmethod
-    def from_(cls, rank, i, *excluded):
-        return cls(set(range(i, rank)) - set(excluded))
-
-    @classmethod
-    def below(cls, rank, i, *excluded):
-        return cls(set(range(0, i)) - set(excluded))
-
-    @classmethod
-    def above(cls, rank, i, *excluded):
-        return cls(set(range(i + 1, rank)) - set(excluded))
+    """A subset of the generator indices {0..r-1}."""
 
 
 class SchlafliSymbol(tuple):
@@ -68,9 +39,6 @@ class SchlafliSymbol(tuple):
         if any(p < 2 for p in entries):
             raise SggiError("Schlafli entries must be >= 2")
         return super().__new__(cls, entries)
-
-    def reversed(self):
-        return SchlafliSymbol(self[::-1])
 
     def __str__(self):
         return "{" + ",".join(map(str, self)) + "}"
@@ -132,11 +100,6 @@ class Sggi:
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens)
         return f"Sggi(degree={self.degree}, rank={self.rank}, [{inner}])"
-
-
-def make_sggi(gens):
-    """Validate a generator list into an Sggi; never repairs silently."""
-    return Sggi(gens)
 
 
 def schlafli(s: Sggi) -> SchlafliSymbol:
@@ -358,7 +321,6 @@ __all__ = [
     "IndexSet",
     "IPResult",
     "IPBudgetExceeded",
-    "make_sggi",
     "schlafli",
     "dual",
     "parabolic",

@@ -1,12 +1,15 @@
 """Signatures, verification reports and the exhaustive search."""
 
 import json
+import random
 import time
+from itertools import permutations
 
 import pytest
 
 from stringc.ambients import named_ambient
 from stringc.classify import (
+    _dedup,
     brute_force_search,
     catalog_instances,
     exhaustive_search,
@@ -21,6 +24,33 @@ from stringc.sggi import Sggi, dual
 
 def simplex(n):
     return Sggi([parse_perm(f"({i},{i + 1})", n) for i in range(1, n)])
+
+
+def commuting_involution_pairs(degree):
+    """Ordered pairs of distinct commuting involutions of Sym(degree), as
+    image tuples."""
+    invs = [p for p in permutations(range(degree))
+            if p != tuple(range(degree)) and all(p[p[i]] == i for i in p)]
+    return [(a, b) for a in invs for b in invs if a != b
+            and all(a[b[i]] == b[a[i]] for i in range(degree))]
+
+
+def conjugation_orbit_count(pairs, degree):
+    """Orbits on the pairs of Sym(degree) acting by conjugation, with a
+    pair and its reversal in one orbit."""
+    remaining = set(pairs)
+    orbits = 0
+    while remaining:
+        a, b = remaining.pop()
+        orbits += 1
+        for p in permutations(range(degree)):
+            # p a p^-1 sends p[i] to p[a[i]].
+            ca, cb = [0] * degree, [0] * degree
+            for i in range(degree):
+                ca[p[i]], cb[p[i]] = p[a[i]], p[b[i]]
+            remaining.discard((tuple(ca), tuple(cb)))
+            remaining.discard((tuple(cb), tuple(ca)))
+    return orbits
 
 
 class TestSignature:
@@ -299,3 +329,24 @@ class TestDedup:
         for s, sig in outcome.items:
             assert sig == signature(s)
             assert signature(dual(s)).key() >= sig.key()
+
+    def test_sym6_klein_pairs_match_conjugation_orbits(self):
+        # Pairs such as [(5,6), (1,2)(3,4)] and [(5,6), (3,4)(5,6)] share
+        # order, Schlafli symbol and cycle types but are not conjugate.
+        sym6 = PermGroup([parse_perm("(1,2)", 6),
+                          parse_perm("(1,2,3,4,5,6)", 6)])
+        outcome = exhaustive_search(sym6, 2, 2, subgroup_order=4)
+        expected = conjugation_orbit_count(commuting_involution_pairs(6), 6)
+        assert expected == 9
+        assert len(outcome.items) == expected
+
+    def test_input_order_does_not_matter(self):
+        raw = commuting_involution_pairs(5)
+        items, merged = _dedup(raw)
+        shuffled = raw[:]
+        random.Random(7).shuffle(shuffled)
+        again, merged_again = _dedup(shuffled)
+        assert merged_again == merged == len(raw) - len(items)
+        assert [([g.images for g in s.gens], sig) for s, sig in again] == [
+            ([g.images for g in s.gens], sig) for s, sig in items
+        ]
