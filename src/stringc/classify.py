@@ -3,12 +3,13 @@
 verify_instance runs every checkable claim about one catalog instance and
 returns a structured report; verify_catalog sweeps a whole degree.
 exhaustive_search enumerates ordered involution tuples of a small ambient
-group with lossless pruning (commuting property, independence, divisibility,
-incremental interval intersection checks and, for index-2 targets, the
-tuple's image in G/<g^2>) and returns the string C-groups found, one per
-class of tuples conjugate in Sym(n) or dual to each other.  Serial and
-pooled runs share one code path: the work items go through _map, inline
-for one job.
+group with lossless pruning (commuting property, independence, for index-2
+targets the tuple's image in G/<g^2>, and, right to left along one column of
+interval subgroups, the interval intersection condition and divisibility of
+each interval's order into the target) and returns the string C-groups
+found, one per class of tuples conjugate in Sym(n) or dual to each other.
+Serial and pooled runs share one code path: the work items go through _map,
+inline for one job.
 """
 
 from __future__ import annotations
@@ -573,7 +574,11 @@ def exhaustive_search(
     """
     if min_rank < 2:
         raise ValueError("min_rank must be at least 2")
-    target = subgroup_order or ambient.order()
+    if max_rank < min_rank:
+        raise ValueError(f"max_rank {max_rank} is below min_rank {min_rank}")
+    target = ambient.order() if subgroup_order is None else subgroup_order
+    if target < 1:
+        raise ValueError("subgroup_order must be at least 1")
     if ambient.order() % target:
         raise ValueError("subgroup_order must divide the ambient order")
     started = time.perf_counter()
@@ -604,6 +609,18 @@ def exhaustive_search(
 def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     """DFS over element indices; returns accepted tuples (element indices).
 
+    A node holds one column of interval subgroups, column[a] = <g_a .. g_last>,
+    so column[0] is the subgroup the tuple generates.  A candidate g_d is
+    tested right to left over a = d-1 .. 0: first the interval condition
+    |<a..d-1> meet <a+1..d>| = |<a+1..d-1>| on [a, d], then the closure of
+    <a..d>, dropped unless its order divides the target.  By the recursion
+    of McMullen and Schulte, Abstract Regular Polytopes, Prop. 2E16, a tuple
+    has the intersection property exactly when consecutive generators differ
+    and every interval of length at least 3 meets this condition.  Intervals
+    inside [0, d-1] were checked at the ancestors, and [d-1, d] holds because
+    g_d is outside <0..d-1> (the dependence test).  <a..d> lies in <0..d>,
+    so by Lagrange the divisibility test drops no candidate that the target
+    test on <0..d> would keep; a failing candidate only stops sooner.
     first_slice holds the involution positions allowed at depth 0, so that
     the search splits into independent work items.
     """
@@ -626,12 +643,13 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     found = []
     completed = [True]
 
-    def dfs(tuple_pos, intervals):
+    def dfs(tuple_pos, column):
         depth = len(tuple_pos)
         if deadline is not None and time.perf_counter() > deadline:
             completed[0] = False
             return
-        if depth >= min_rank and len(intervals[(0, depth - 1)]) == target:
+        generated = column[0] if depth else (model.identity,)
+        if depth >= min_rank and len(generated) == target:
             if invs[tuple_pos[0]] <= invs[tuple_pos[-1]]:
                 # The reversed tuple generates the dual sggi; duality
                 # deduplication makes exploring both redundant.
@@ -643,7 +661,6 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             allowed &= commute[p]
         hyperplane = None
         if coset is not None:
-            generated = intervals[(0, depth - 1)] if depth else (model.identity,)
             image = {coset[h] for h in generated}
             if 2 * len(image) == q:
                 # A generator outside this hyperplane of G/Phi would leave
@@ -656,35 +673,29 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             pos = low.bit_length() - 1
             mask ^= low
             gen = invs[pos]
-            if depth and gen in intervals[(0, depth - 1)]:
+            if gen in generated:
                 continue  # dependent candidates can never pass the IP
             if hyperplane is not None and coset[gen] not in hyperplane:
                 continue
-            new_intervals = dict(intervals)
-            new_intervals[(depth, depth)] = frozenset(
-                (model.identity, gen)
-            )
+            new = column + [frozenset((model.identity, gen))]
             for a in range(depth - 1, -1, -1):
-                gens_idx = [invs[p] for p in tuple_pos[a:]] + [gen]
-                new_intervals[(a, depth)] = model.subgroup_closure(gens_idx)
-            order = len(new_intervals[(0, depth)])
-            if target % order or order * (2**remaining_for_min) > target:
-                continue
-            ip_ok = True
-            for a in range(0, depth - 1):
-                left = new_intervals[(a, depth - 1)]
-                right = new_intervals[(a + 1, depth)]
-                middle = new_intervals[(a + 1, depth - 1)]
-                if len(left & right) != len(middle):
-                    ip_ok = False
+                # new[a + 1] is <a+1..depth>: <gen>, or the last closure.
+                if target % len(new[a + 1]):
                     break
-            if not ip_ok:
-                continue
-            tuple_pos.append(pos)
-            dfs(tuple_pos, new_intervals)
-            tuple_pos.pop()
+                if (a < depth - 1
+                        and len(column[a] & new[a + 1]) != len(column[a + 1])):
+                    break
+                new[a] = model.subgroup_closure(
+                    [invs[p] for p in tuple_pos[a:]] + [gen])
+            else:
+                order = len(new[0])
+                if target % order or order * (2**remaining_for_min) > target:
+                    continue
+                tuple_pos.append(pos)
+                dfs(tuple_pos, new)
+                tuple_pos.pop()
 
-    dfs([], {})
+    dfs([], [])
     return found, completed[0]
 
 

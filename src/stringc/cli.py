@@ -167,7 +167,7 @@ def _cmd_verify(args, out):
 
 def _cmd_search(args, out):
     ambient = named_ambient(args.ambient)
-    max_rank = args.max_rank if args.max_rank else ambient.degree - 1
+    max_rank = ambient.degree - 1 if args.max_rank is None else args.max_rank
     outcome = exhaustive_search(
         ambient,
         args.min_rank,
@@ -264,9 +264,9 @@ def build_parser():
 
     p = sub.add_parser("search", help="exhaustive involution-tuple search")
     p.add_argument("--ambient", required=True, choices=ambient_names())
-    p.add_argument("--min-rank", type=int, required=True)
-    p.add_argument("--max-rank", type=int)
-    p.add_argument("--subgroup-order", type=int)
+    p.add_argument("--min-rank", type=positive_int, required=True)
+    p.add_argument("--max-rank", type=positive_int)
+    p.add_argument("--subgroup-order", type=positive_int)
     p.add_argument("--transitive-only", action="store_true")
     p.add_argument("--budget-sec", type=float, default=120.0)
     p.add_argument("--jobs", type=positive_int, default=1)

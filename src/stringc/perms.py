@@ -368,20 +368,6 @@ class StabilizerChain:
             frontier = found
         return len(seen)
 
-    def prefix_stabilizer_generators(self):
-        """Home generators fixing every base_prefix point.
-
-        These generate the pointwise stabilizer of the prefix, because the
-        prefix occupies the first chain levels.
-        """
-        fixed = set(self.base_prefix)
-        keep = []
-        for lvl in self.levels:
-            for g in lvl.gens:
-                if all(g.images[p] == p for p in fixed):
-                    keep.append(g)
-        return keep
-
 
 class PermGroup:
     """Group generated by a list of Permutations, with a lazy chain.

@@ -165,16 +165,13 @@ _ORBIT_CAP = 10**5
 class SubsetLattice:
     """Orders and pairwise meets of generator-subset subgroups, lazily built.
 
-    Masks generating equal subgroups share one group id, so each meet is
-    computed once per distinct subgroup pair.  Shared by the naive and
-    recursive checkers so verification builds it only once.
+    Chains are kept per mask and meets per unordered mask pair.  Shared by
+    the naive and recursive checkers so verification builds it only once.
     """
 
     def __init__(self, s: Sggi):
         self.s = s
         self._chains = {}
-        self._group_id = {}
-        self._id_members = []  # representative (chain, order) per group id
         self._elsets = {}
         self._pair_orders = {}
 
@@ -189,30 +186,13 @@ class SubsetLattice:
     def order(self, mask):
         return self.chain(mask).order()
 
-    def group_id(self, mask):
-        if mask not in self._group_id:
-            chain = self.chain(mask)
-            order = chain.order()
-            gens = self.gens(mask)
-            for gid, (other_chain, other_order) in enumerate(self._id_members):
-                if other_order == order and all(
-                    other_chain.contains(g) for g in gens
-                ):
-                    self._group_id[mask] = gid
-                    break
-            else:
-                self._id_members.append((chain, order))
-                self._group_id[mask] = len(self._id_members) - 1
-        return self._group_id[mask]
-
     def element_set(self, mask):
         """Every element of <mask> as an image tuple; a test reference."""
-        gid = self.group_id(mask)
-        if gid not in self._elsets:
-            self._elsets[gid] = frozenset(
+        if mask not in self._elsets:
+            self._elsets[mask] = frozenset(
                 g.images for g in self.chain(mask).elements()
             )
-        return self._elsets[gid]
+        return self._elsets[mask]
 
     def intersection_order(self, mask_j, mask_k):
         """|<J> meet <K>| = |S| / |orbit of L among its right cosets under S|.
@@ -221,7 +201,7 @@ class SubsetLattice:
         has at most |S| / |<J & K>| cosets; past _ORBIT_CAP this raises
         IPBudgetExceeded instead.
         """
-        key = tuple(sorted((self.group_id(mask_j), self.group_id(mask_k))))
+        key = (min(mask_j, mask_k), max(mask_j, mask_k))
         if key not in self._pair_orders:
             small, large = sorted((mask_j, mask_k), key=self.order)
             bound = self.order(small) // self.order(mask_j & mask_k)
@@ -243,8 +223,11 @@ def _interval_mask(lo, hi):
 def _check_naive(s: Sggi, lattice=None) -> IPResult:
     lattice = lattice or SubsetLattice(s)
     full = (1 << s.rank) - 1
+    # A pair fails exactly when its mirror does, and the mirror of (j, k)
+    # with j > k comes earlier in the ordered scan, so the unordered pairs
+    # give the same first witness.
     for mask_j in range(1, full + 1):
-        for mask_k in range(1, full + 1):
+        for mask_k in range(mask_j + 1, full + 1):
             meet = mask_j & mask_k
             if meet in (mask_j, mask_k):
                 continue  # one side contains the other: holds trivially
@@ -300,7 +283,7 @@ def check_intersection_property(s: Sggi, mode="recursive", lattice=None) -> IPRe
     recursive mode applies the standard interval reduction.  Both return a
     witness pair of index sets on failure; the naive witness is the first
     failing pair in increasing-bitmask order.  A SubsetLattice may be shared
-    between calls to reuse subgroup chains and element sets.
+    between calls to reuse subgroup chains and meets.
     """
     if mode == "naive":
         return _check_naive(s, lattice)

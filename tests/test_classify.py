@@ -258,6 +258,30 @@ class TestSearch:
         with pytest.raises(ValueError):
             exhaustive_search(named_ambient("sym4-deg4"), 2, 3, subgroup_order=7)
 
+    def test_rank_range_and_order_validation(self):
+        ambient = named_ambient("sym4-deg4")
+        with pytest.raises(ValueError, match="below min_rank"):
+            exhaustive_search(ambient, 3, 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            exhaustive_search(ambient, 2, 3, subgroup_order=0)
+
+    @pytest.mark.parametrize("name, min_rank, order, merged, classes", [
+        ("alt5-deg6", 3, None, 178, 2),
+        ("sym5-deg6", 3, None, 475, 5),
+        ("c2wrS3-deg6", 4, None, 138, 6),
+        ("s3wrS2-deg6", 4, 36, 35, 1),
+    ])
+    def test_raw_tuple_counts(self, name, min_rank, order, merged, classes):
+        # Raw tuples = merged + classes: a pruning rule that loses tuples,
+        # or lets extra ones through, changes these counts even when the
+        # Schlafli sets stay the same.
+        outcome = exhaustive_search(named_ambient(name), min_rank, 5,
+                                    subgroup_order=order,
+                                    transitive_only=order is not None)
+        assert outcome.completed
+        assert (outcome.merged_duplicates, len(outcome.items)) == (
+            merged, classes)
+
     def test_budget_flag(self):
         outcome = exhaustive_search(
             named_ambient("sym5-deg6"), 3, 5, budget_sec=0.001

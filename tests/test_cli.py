@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from stringc.cli import run_cli
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -129,3 +131,19 @@ class TestOtherCommands:
                           "--no-timing"])
         assert code == 0
         assert "{3,5}" in text and "{5,5}" in text
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--min-rank", "2", "--subgroup-order", "0"],
+         "--subgroup-order: must be at least 1"),
+        (["--min-rank", "2", "--max-rank", "0"],
+         "--max-rank: must be at least 1"),
+        (["--min-rank", "2", "--max-rank", "-1"],
+         "--max-rank: must be at least 1"),
+        (["--min-rank", "4", "--max-rank", "3"],
+         "max_rank 3 is below min_rank 4"),
+    ])
+    def test_search_bad_input_exit_2(self, extra, message, capsys):
+        code, text = run(["search", "--ambient", "sym4-deg4", "--no-timing"]
+                         + extra)
+        assert code == 2 and text == ""
+        assert message in capsys.readouterr().err

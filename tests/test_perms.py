@@ -292,14 +292,6 @@ class TestChainDetails:
         assert chain.base()[:2] == [2, 3]
         assert chain.order() == 24
 
-    def test_prefix_stabilizer(self):
-        gens = [parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)]
-        chain = StabilizerChain(gens, 4, base_prefix=(0,))
-        stab = PermGroup(chain.prefix_stabilizer_generators() or
-                         [Permutation.identity(4)], 4)
-        assert stab.order() == 6
-        assert all(g.images[0] == 0 for g in stab.generators)
-
     def test_elements_deterministic_and_complete(self):
         g = grp(4, "(1,2)", "(2,3,4)")
         first = list(g.elements())

@@ -179,6 +179,33 @@ class TestIntersectionProperty:
             recursive = check_intersection_property(s, "recursive")
             assert naive.passed == recursive.passed, s
 
+    def test_naive_witness_is_first_failing_ordered_pair(self):
+        # The oracle scans unordered pairs; its witness must still be the
+        # first failing pair of the full ordered scan, done here by closure.
+        rng = random.Random(19)
+        failures = 0
+        for _ in range(25):
+            s = random_sggi(rng, rng.randint(4, 8), rng.randint(2, 4))
+            full = (1 << s.rank) - 1
+            closures = {
+                m: brute_force_elements(
+                    [g for i, g in enumerate(s.gens) if m >> i & 1], s.degree)
+                for m in range(full + 1)
+            }
+            expected = next(
+                ((j, k) for j in range(1, full + 1) for k in range(1, full + 1)
+                 if len(closures[j] & closures[k]) != len(closures[j & k])),
+                None,
+            )
+            res = check_intersection_property(s, "naive")
+            if expected is None:
+                assert res.passed
+                continue
+            failures += 1
+            to_set = lambda m: frozenset(i for i in range(s.rank) if m >> i & 1)
+            assert res.witness == (to_set(expected[0]), to_set(expected[1]))
+        assert failures >= 5
+
     def test_rank_bound_for_independent_sggis(self):
         # Independent sggis of degree n have rank at most n-1; at rank n-1
         # (n >= 7) the group is the full symmetric group.
