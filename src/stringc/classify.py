@@ -248,7 +248,7 @@ def verify_instance(family_id, params) -> VerificationReport:
                 _schlafli_matches(tag, tuple(symbol)), schlafli=str(symbol))
 
     if expected.get("blocks") == "k2":
-        _verify_k2(report, desc, s, group, n, build_params)
+        _verify_k2(report, desc, s, group, systems, n, build_params)
     elif expected.get("blocks") == "m2":
         _verify_m2(report, desc, s, group, n)
 
@@ -282,14 +282,14 @@ def _schlafli_matches(tag, symbol):
     raise ValueError(f"unknown schlafli tag {tag}")
 
 
-def _verify_k2(report, desc, s, group, n, build_params):
+def _verify_k2(report, desc, s, group, systems, n, build_params):
     m = n // 2
     columns = _column_system(n)
     _expect(
         report,
         "column_blocks",
         all(columns.is_invariant_under(g) for g in group.generators)
-        and columns in group.minimal_block_systems(),
+        and columns in systems,
     )
 
     res = block_action(group, columns)
@@ -581,6 +581,8 @@ def exhaustive_search(
         raise ValueError("subgroup_order must be at least 1")
     if ambient.order() % target:
         raise ValueError("subgroup_order must divide the ambient order")
+    if budget_sec is not None and not budget_sec > 0:
+        raise ValueError(f"budget_sec must be positive, got {budget_sec}")
     started = time.perf_counter()
     model = _AmbientModel(ambient)
     npos = len(model.involution_indices())
@@ -708,7 +710,8 @@ def _dedup(raw_tuples):
     directly or after reversal.  The first tuple of each class in sorted
     order is kept, oriented so that its Schlafli symbol is no larger than
     the reversed one.  Both orientations generate the same group, so the
-    dual's signature is this one with the Schlafli symbol reversed.
+    dual's signature is this one with the Schlafli symbol reversed.  Classes
+    are listed by signature, then by their printed generators.
     """
     raw_tuples = sorted(raw_tuples)
     classes = {}
@@ -718,12 +721,12 @@ def _dedup(raw_tuples):
                   canonical_form(sggi_to_graph(dual(s))))
         classes.setdefault(key, s)
     items = []
-    for key, s in classes.items():
+    for s in classes.values():
         sig = signature(s)
         if sig.schlafli[::-1] < sig.schlafli:
             s = dual(s)
             sig = replace(sig, schlafli=sig.schlafli[::-1])
-        items.append((sig.key(), key, s, sig))
+        items.append((sig.key(), [str(g) for g in s.gens], s, sig))
     items.sort(key=lambda item: item[:2])
     return [(s, sig) for _, _, s, sig in items], len(raw_tuples) - len(classes)
 

@@ -810,20 +810,16 @@ def _build_catalog():
     t7 = [
         _descriptor("T7", 25, _T7_TAGS_EVEN, _t7_25, domain=odd_half,
                     params=[x_even],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2",
-                              "kernel_g0": "C2^(m-1)"}),
+                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
         _descriptor("T7", 26, _T7_TAGS_EVEN, _t7_26, domain=odd_half,
                     params=[x_even],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2",
-                              "kernel_g0": "C2^(m-1)"}),
+                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
         _descriptor("T7", 27, _T7_TAGS_ODD, _t7_27, domain=odd_half,
                     params=[x_odd],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2",
-                              "kernel_g0": "C2^(m-1)"}),
+                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
         _descriptor("T7", 28, _T7_TAGS_ODD, _t7_28, domain=odd_half,
                     params=[x_odd],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2",
-                              "kernel_g0": "C2^(m-1)"}),
+                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
     ]
 
     i_t8 = ParamSpec("i", "2 <= i <= r-3", _interior_i(2, -3))

@@ -235,103 +235,48 @@ def emit_dot(g: PRGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form under vertex renaming: per connected component, exact
-# individualization-refinement canonicalization (full branching over the
-# first non-singleton colour class); components then sorted and renumbered.
-# Each label is a matching, so a vertex with a colour of its own gives each
-# of its neighbours a colour of its own; in a connected component one
-# individualised vertex therefore refines to a discrete colouring, and
-# _canon_component has at most as many leaves as the first non-singleton
-# cell has vertices.
+# Canonical form under vertex renaming: the standardised numbering of a coset
+# table (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+# 2005).  nbr[v][l] is v's partner under label l, or v itself when l fixes v;
+# each label is a matching, so this is well defined.  A component numbered
+# breadth-first from a start vertex, scanning labels in order, is read as
+# the table number[nbr[x][l]] over x in numbering order and l in 0..r-1; the
+# least table over all start vertices is the component's canonical form.
+# An isomorphism carries the numbering from v to the numbering from v's
+# image, so isomorphic components have equal least tables.  Equal tables
+# compose into an isomorphism (the i-th vertex of one numbering to the i-th
+# of the other), so equal least tables mean isomorphic components.  The
+# graph's form lists the sorted (component size, least table) pairs.
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj, color):
-    while True:
-        sig = {
-            v: (color[v], tuple(sorted((lbl, color[w]) for lbl, w in adj[v])))
-            for v in adj
-        }
-        palette = {c: i for i, c in enumerate(sorted(set(sig.values())))}
-        new_color = {v: palette[sig[v]] for v in adj}
-        if new_color == color:
-            return color
-        color = new_color
-
-
-def _canon_component(vertices, adj, edges):
-    initial = {v: 0 for v in vertices}
-    best = None
-
-    def leaf(color):
-        nonlocal best
-        numbering = {v: color[v] + 1 for v in vertices}
-        candidate = tuple(
-            sorted(
-                (lbl, min(numbering[u], numbering[v]), max(numbering[u], numbering[v]))
-                for lbl, u, v in edges
-            )
-        )
-        if best is None or candidate < best:
-            best = candidate
-
-    def search(color):
-        color = _refine(adj, color)
-        cells = {}
-        for v in vertices:
-            cells.setdefault(color[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            leaf(color)
-            return
-        for v in target:
-            branched = {
-                w: (color[w], 0 if w == v else 1) for w in vertices
-            }
-            palette = {c: i for i, c in enumerate(sorted(set(branched.values())))}
-            search({w: palette[branched[w]] for w in vertices})
-
-    search(initial)
-    return best
+def _table(nbr, start):
+    number = {start: 0}
+    order = [start]
+    table = []
+    for x in order:
+        for y in nbr[x]:
+            if y not in number:
+                number[y] = len(order)
+                order.append(y)
+            table.append(number[y])
+    return tuple(table), order
 
 
 def canonical_form(g: PRGraph):
-    adj = {v: [] for v in range(1, g.vertices + 1)}
+    nbr = [[v] * g.rank for v in range(g.vertices + 1)]
     for lbl, u, v in g.edges:
-        adj[u].append((lbl, v))
-        adj[v].append((lbl, u))
-
+        nbr[u][lbl] = v
+        nbr[v][lbl] = u
     seen = set()
     components = []
-    for start in adj:
+    for start in range(1, g.vertices + 1):
         if start in seen:
             continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for _, y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comp_edges = [e for e in g.edges if e[1] in comp]
-        comp_adj = {v: adj[v] for v in comp}
-        components.append(
-            (len(comp), _canon_component(comp, comp_adj, comp_edges) or ())
-        )
-
-    components.sort()
-    out = []
-    offset = 0
-    for size, edges in components:
-        out.extend((lbl, u + offset, v + offset) for lbl, u, v in edges)
-        offset += size
-    return (g.vertices, g.rank, tuple(sorted(out)))
+        _, comp = _table(nbr, start)
+        seen.update(comp)
+        components.append((len(comp), min(_table(nbr, v)[0] for v in comp)))
+    return (g.vertices, g.rank, tuple(sorted(components)))
 
 
 def isomorphic(a: PRGraph, b: PRGraph) -> bool:

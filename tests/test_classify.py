@@ -264,6 +264,9 @@ class TestSearch:
             exhaustive_search(ambient, 3, 2)
         with pytest.raises(ValueError, match="at least 1"):
             exhaustive_search(ambient, 2, 3, subgroup_order=0)
+        for budget in (float("nan"), 0, -1.0):
+            with pytest.raises(ValueError, match="budget_sec must be positive"):
+                exhaustive_search(ambient, 2, 3, budget_sec=budget)
 
     @pytest.mark.parametrize("name, min_rank, order, merged, classes", [
         ("alt5-deg6", 3, None, 178, 2),

@@ -141,6 +141,12 @@ class TestOtherCommands:
          "--max-rank: must be at least 1"),
         (["--min-rank", "4", "--max-rank", "3"],
          "max_rank 3 is below min_rank 4"),
+        (["--min-rank", "2", "--budget-sec", "nan"],
+         "budget_sec must be positive, got nan"),
+        (["--min-rank", "2", "--budget-sec", "0"],
+         "budget_sec must be positive, got 0.0"),
+        (["--min-rank", "2", "--budget-sec", "-1"],
+         "budget_sec must be positive, got -1.0"),
     ])
     def test_search_bad_input_exit_2(self, extra, message, capsys):
         code, text = run(["search", "--ambient", "sym4-deg4", "--no-timing"]

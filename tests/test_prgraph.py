@@ -1,5 +1,6 @@
 """Graph DSL, validation, conversions and canonical-form tests."""
 
+import itertools
 import random
 
 import pytest
@@ -204,3 +205,53 @@ class TestCanonicalForm:
                 [(lbl, relabel[u - 1], relabel[v - 1]) for lbl, u, v in g.edges],
             )
             assert canonical_form(g) == canonical_form(moved)
+
+    def test_isomorphic_matches_brute_force(self):
+        # Exact in both directions: isomorphic() agrees with a search over
+        # every vertex bijection.  Half the pairs are relabellings, half are
+        # independent graphs of the same size, which are mostly not
+        # isomorphic at this size.
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(300):
+            n, rank = rng.randint(2, 6), rng.randint(1, 3)
+            a = _small_valid_graph(rng, n, rank)
+            if rng.random() < 0.5:
+                relabel = rng.sample(range(1, n + 1), n)
+                b = PRGraph(n, rank, [(lbl, relabel[u - 1], relabel[v - 1])
+                                      for lbl, u, v in a.edges])
+            else:
+                b = _small_valid_graph(rng, n, rank)
+            expected = _brute_force_isomorphic(a, b)
+            assert isomorphic(a, b) == expected, (a.edges, b.edges)
+            seen.add(expected)
+            seen.update(("disconnected",) for g in (a, b)
+                        if not is_connected(g))
+            seen.update(("J-edge",) for g in (a, b)
+                        if len({(u, v) for _, u, v in g.edges}) < len(g.edges))
+        assert seen == {True, False, ("disconnected",), ("J-edge",)}
+
+
+def _small_valid_graph(rng, n, rank):
+    while True:
+        edges = []
+        for lbl in range(rank):
+            pts = rng.sample(range(1, n + 1), n)
+            k = rng.randint(1, n // 2)
+            edges.extend((lbl, pts[2 * i], pts[2 * i + 1]) for i in range(k))
+        try:
+            return PRGraph(n, rank, edges)
+        except GraphError:
+            pass
+
+
+def _brute_force_isomorphic(a, b):
+    if (a.vertices, a.rank) != (b.vertices, b.rank):
+        return False
+    target = set(b.edges)
+    for perm in itertools.permutations(range(1, a.vertices + 1)):
+        moved = {(lbl, min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
+                 for lbl, u, v in a.edges}
+        if moved == target:
+            return True
+    return False
