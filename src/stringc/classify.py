@@ -33,7 +33,7 @@ from .analysis import (
     table3_cell,
 )
 from .families import descriptor, family_catalog, duality_partner
-from .perms import BlockSystem, PermGroup, Permutation
+from .perms import BlockSystem, PermGroup, Permutation, brute_force_elements
 from .prgraph import canonical_form, graph_to_sggi, is_connected, sggi_to_graph
 from .sggi import (
     IPBudgetExceeded,
@@ -162,18 +162,22 @@ def _expected_lcr_sizes(tag, rank):
 
 
 def verify_instance(family_id, params) -> VerificationReport:
-    """Run every checkable predicate for one instance."""
+    """Run every checkable predicate for one instance.
+
+    Parameters outside the family's domain raise FamilyDomainError.
+    """
     started = time.perf_counter()
     desc = descriptor(family_id)
     params = dict(params)
     n = params["n"]
     build_params = {k: v for k, v in params.items() if k != "n"}
+    desc.check_domain(n, build_params)
     report = VerificationReport(instance=family_id, params=params)
 
     try:
         graph = desc.instantiate(n, build_params)
         report.record("graph_valid", "pass", edges=len(graph.edges))
-    except Exception as exc:  # domain or structural failure
+    except Exception as exc:  # structural failure
         report.record("graph_valid", "fail", error=str(exc))
         report.timing_ms = (time.perf_counter() - started) * 1000
         return report
@@ -187,7 +191,7 @@ def verify_instance(family_id, params) -> VerificationReport:
         report.timing_ms = (time.perf_counter() - started) * 1000
         return report
 
-    group = PermGroup(list(s.gens), s.degree).finalize()
+    group = PermGroup(list(s.gens), s.degree)
     order = group.order()
     symbol = schlafli(s)
     report.order = order
@@ -252,10 +256,7 @@ def verify_instance(family_id, params) -> VerificationReport:
     elif expected.get("blocks") == "m2":
         _verify_m2(report, desc, s, group, n)
 
-    try:
-        partner = duality_partner(family_id, n)
-    except Exception:
-        partner = None
+    partner = duality_partner(family_id, n)
     dd = sggi_to_graph(dual(dual(s))) == graph
     report.record("duality", "pass" if dd else "fail",
                   partner=partner if partner else "unlisted",
@@ -499,7 +500,8 @@ class _AmbientModel:
                 f"ambient of order {order} exceeds the search limit "
                 f"{self.TABLE_LIMIT}"
             )
-        self.elements = sorted(group.elements())
+        self.elements = sorted(brute_force_elements(group.generators,
+                                                    group.degree))
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.identity = self.index[tuple(range(group.degree))]
         self.order = len(self.elements)

@@ -126,6 +126,8 @@ def _cmd_dual(args, out):
 
 
 def _cmd_verify(args, out):
+    if args.all and args.family:
+        raise FamilyDomainError("verify takes a family id or --all, not both")
     if args.all:
         reports = verify_catalog(args.n, jobs=args.jobs)
     elif args.family:

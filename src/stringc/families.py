@@ -915,7 +915,7 @@ def _catalog_canonical_forms(n):
     return forms
 
 
-def duality_partner(family_id, n=14):
+def duality_partner(family_id, n):
     """Catalog id whose instance matches the dual graph, "SELF", or None.
 
     The tables list one representative per dual pair, so for many entries

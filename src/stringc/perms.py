@@ -3,8 +3,9 @@
 Permutations are stored as 0-based image tuples; all parsing and printing is
 1-based to match the usual cycle notation.  Groups carry a deterministic
 stabilizer chain (Schreier-Sims, smallest-moved-point-first base) giving exact
-orders, membership, element enumeration, coset orbits and bounded
-intersection orders at the scales this package targets (degree <= ~64).
+orders, membership and coset orbits at the scales this package targets
+(degree <= ~64).  The order of a meet is read off a coset orbit; a group's
+elements are listed, where a caller needs them, by plain closure.
 """
 
 from __future__ import annotations
@@ -197,16 +198,11 @@ class _Level:
 class StabilizerChain:
     """Deterministic Schreier-Sims chain.
 
-    When base_prefix (0-based points) is given, levels 0..len(prefix)-1 use
-    exactly those base points (trivial levels allowed), so the pointwise
-    stabilizer of the prefix is generated by the deeper home generators.
-    Past the prefix, a new level takes the smallest point moved by the
-    residue that forced it.
+    A new level takes the smallest point moved by the residue that forced it.
     """
 
-    def __init__(self, generators, degree, base_prefix=()):
+    def __init__(self, generators, degree):
         self.degree = degree
-        self.base_prefix = tuple(base_prefix)
         self.levels = []
         self._coset_levels = None
         seeded = False
@@ -222,10 +218,7 @@ class StabilizerChain:
         d = start
         while True:
             if d == len(self.levels):
-                if d < len(self.base_prefix):
-                    point = self.base_prefix[d]
-                else:
-                    point = next(i for i, j in enumerate(g.images) if i != j)
+                point = next(i for i, j in enumerate(g.images) if i != j)
                 self.levels.append(_Level(point, self.degree))
             if g.images[self.levels[d].point] != self.levels[d].point:
                 return d
@@ -303,26 +296,6 @@ class StabilizerChain:
             n *= len(lvl.transversal)
         return n
 
-    def base(self):
-        return [lvl.point for lvl in self.levels]
-
-    def elements(self):
-        """Yield all group elements, deterministically.
-
-        Every element factors uniquely as t_{k-1} * ... * t_1 * t_0 with t_i
-        drawn from the level-i transversal.
-        """
-
-        def rec(level, deep):
-            if level < 0:
-                yield deep
-                return
-            lvl = self.levels[level]
-            for a in sorted(lvl.transversal):
-                yield from rec(level - 1, deep * lvl.transversal[a])
-
-        yield from rec(len(self.levels) - 1, Permutation.identity(self.degree))
-
     def coset_orbit_size(self, generators):
         """Number of right cosets G*s of this group G, s in <generators>.
 
@@ -372,8 +345,7 @@ class StabilizerChain:
 class PermGroup:
     """Group generated by a list of Permutations, with a lazy chain.
 
-    The chain is built at most once, on first use; build the group in one
-    thread (or call finalize()) before sharing it.
+    The chain is built at most once, on first use.
     """
 
     def __init__(self, generators, degree=None):
@@ -395,11 +367,6 @@ class PermGroup:
             self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain
 
-    def finalize(self):
-        """Force the chain; afterwards the group is safe to share read-only."""
-        self.chain
-        return self
-
     def order(self):
         return self.chain.order()
 
@@ -407,9 +374,6 @@ class PermGroup:
         if g.degree != self.degree:
             return False
         return self.chain.contains(g)
-
-    def elements(self):
-        return self.chain.elements()
 
     def orbit(self, point):
         """Orbit of a 1-based point, as a sorted list."""
@@ -423,17 +387,6 @@ class PermGroup:
                     seen.add(b)
                     frontier.append(b)
         return sorted(p + 1 for p in seen)
-
-    def orbits(self):
-        seen = set()
-        out = []
-        for p in range(1, self.degree + 1):
-            if p in seen:
-                continue
-            orb = self.orbit(p)
-            seen.update(orb)
-            out.append(orb)
-        return out
 
     def is_transitive(self):
         return len(self.orbit(1)) == self.degree
@@ -523,46 +476,13 @@ class PermGroup:
 
 
 def intersection_order_bounded(a, b, bound):
-    """|a meet b| counted by backtracking, early-exiting above bound.
+    """|a meet b| when it is <= bound, otherwise bound + 1.
 
-    Returns the exact order when it is <= bound, otherwise bound + 1.
-    Descends a's chain; b's chain is rebuilt with a's base as forced
-    prefix so that partial base images can be tested for realizability
-    in b.
+    The meet's order is |a| over the size of the orbit of b's coset under a
+    (StabilizerChain.coset_orbit_size).  Nothing in the package calls this;
+    the name stays because bench/tracing.py patches it in stringc.sggi.
     """
-    chain_a = a.chain
-    chain_b = StabilizerChain(b.generators, b.degree, base_prefix=chain_a.base())
-    count = 0
-
-    def b_feasible(w, upto):
-        g = w
-        for lvl in chain_b.levels[:upto]:
-            image = g.images[lvl.point]
-            if image == lvl.point:
-                continue
-            t = lvl.transversal.get(image)
-            if t is None:
-                return False
-            g = g * t.inverse()
-        return True
-
-    def rec(level, w):
-        # w = t_level-1 * ... * t_0 pins the images of base[:level].
-        nonlocal count
-        if count > bound:
-            return
-        if level == len(chain_a.levels):
-            if chain_b.contains(w):
-                count += 1
-            return
-        lvl = chain_a.levels[level]
-        for y in sorted(lvl.transversal):
-            w2 = lvl.transversal[y] * w
-            if b_feasible(w2, level + 1):
-                rec(level + 1, w2)
-
-    rec(0, Permutation.identity(a.degree))
-    return count
+    return min(a.order() // b.chain.coset_orbit_size(a.generators), bound + 1)
 
 
 class BlockSystem:
@@ -625,7 +545,11 @@ class BlockSystem:
 
 
 def brute_force_elements(generators, degree, limit=10**6):
-    """Full element set by multiplicative closure; chain-free test oracle."""
+    """Every element of <generators>, by multiplicative closure.
+
+    Uses no stabilizer chain, so tests also take it as an oracle for the
+    chain's orders and meets.
+    """
     ident = Permutation.identity(degree)
     elements = {ident}
     frontier = [ident]

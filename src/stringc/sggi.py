@@ -9,7 +9,7 @@ forms duals and parabolic subgroups.
 
 from __future__ import annotations
 
-from .perms import PermGroup, StabilizerChain
+from .perms import StabilizerChain, brute_force_elements
 
 # Unused here, but bench/tracing.py patches stringc.sggi by this name.
 from .perms import intersection_order_bounded  # noqa: F401
@@ -87,9 +87,6 @@ class Sggi:
     @property
     def rank(self):
         return len(self.gens)
-
-    def group(self):
-        return PermGroup(list(self.gens), self.degree)
 
     def __eq__(self, other):
         return isinstance(other, Sggi) and self.gens == other.gens
@@ -187,10 +184,12 @@ class SubsetLattice:
         return self.chain(mask).order()
 
     def element_set(self, mask):
-        """Every element of <mask> as an image tuple; a test reference."""
+        """Every element of <mask> as an image tuple, by closure; a test
+        reference."""
         if mask not in self._elsets:
             self._elsets[mask] = frozenset(
-                g.images for g in self.chain(mask).elements()
+                g.images
+                for g in brute_force_elements(self.gens(mask), self.s.degree)
             )
         return self._elsets[mask]
 
@@ -292,11 +291,6 @@ def check_intersection_property(s: Sggi, mode="recursive", lattice=None) -> IPRe
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def max_rank_bound_holds(s: Sggi) -> bool:
-    """Independent sggis of degree n have rank <= n-1."""
-    return s.rank <= s.degree - 1
-
-
 __all__ = [
     "Sggi",
     "SggiError",
@@ -309,5 +303,4 @@ __all__ = [
     "parabolic",
     "is_independent",
     "check_intersection_property",
-    "max_rank_bound_holds",
 ]

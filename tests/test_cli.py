@@ -99,6 +99,20 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == (
             "stringc: error: a worker process died\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["T8#1", "--n", "13"], "T8#1: requires even degree n, got 13"),
+        (["T6#17", "--n", "14"], "T6#17: requires parameters ['i'], got []"),
+        (["T8#1", "--n", "14", "--x", "3"],
+         "T8#1: requires parameters [], got ['x']"),
+        (["REP2N#1", "--n", "3"], "REP2N#1: requires n >= 7, got 3"),
+        (["T8#1", "--n", "14", "--all"],
+         "verify takes a family id or --all, not both"),
+    ])
+    def test_bad_parameters_exit_2(self, argv, message, capsys):
+        code, text = run(["verify", "--no-timing"] + argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"stringc: error: {message}\n"
+
     def test_byte_identical_with_no_timing(self):
         args = ["verify", "T6#21", "--n", "14", "--format", "json", "--no-timing"]
         assert run(args) == run(args)

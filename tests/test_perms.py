@@ -170,9 +170,6 @@ class TestTransitivity:
     def test_intransitive(self):
         assert not grp(4, "(1,2)").is_transitive()
 
-    def test_orbits(self):
-        assert grp(4, "(1,2)").orbits() == [[1, 2], [3], [4]]
-
 
 class TestBlockSystems:
     def test_klein_three_systems(self):
@@ -250,7 +247,8 @@ class TestIntersectionOrderBounded:
                     gens = [parse_perm("(1,2)", n)]
                 groups.append(PermGroup(gens, n))
             a, b = groups
-            expected = len(set(a.elements()) & set(b.elements()))
+            expected = len(brute_force_elements(a.generators, n)
+                           & brute_force_elements(b.generators, n))
             for bound in (expected, expected + 1, 5040):
                 assert intersection_order_bounded(a, b, bound) == expected
             for bound in range(min(expected, 4)):
@@ -283,18 +281,3 @@ class TestCosetOrbit:
         chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
                                  parse_perm("(1,2)", 5)], 5)
         assert chain.coset_orbit_size([parse_perm("(2,4)(3,5)", 5)]) == 1
-
-
-class TestChainDetails:
-    def test_base_prefix_forces_prefix_levels(self):
-        gens = [parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)]
-        chain = StabilizerChain(gens, 4, base_prefix=(2, 3))
-        assert chain.base()[:2] == [2, 3]
-        assert chain.order() == 24
-
-    def test_elements_deterministic_and_complete(self):
-        g = grp(4, "(1,2)", "(2,3,4)")
-        first = list(g.elements())
-        second = list(PermGroup(list(g.generators), 4).elements())
-        assert first == second
-        assert len(set(first)) == g.order()
