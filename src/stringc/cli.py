@@ -92,12 +92,9 @@ def _cmd_catalog(args, out):
 
 
 def _rank_at_14(desc):
-    try:
-        if desc.table == "REP2N":
-            return desc.rank_for(7)
-        return None if desc.domain_error(14) else desc.rank_for(14)
-    except Exception:
-        return None
+    if desc.table == "REP2N":
+        return desc.rank_for(7)
+    return None if desc.domain_error(14) else desc.rank_for(14)
 
 
 def _cmd_schlafli(args, out):
@@ -128,6 +125,8 @@ def _cmd_dual(args, out):
 def _cmd_verify(args, out):
     if args.all and args.family:
         raise FamilyDomainError("verify takes a family id or --all, not both")
+    if args.all and (args.i is not None or args.x is not None):
+        raise FamilyDomainError("verify --all takes no --i or --x")
     if args.all:
         reports = verify_catalog(args.n, jobs=args.jobs)
     elif args.family:

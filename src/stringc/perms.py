@@ -5,13 +5,17 @@ Permutations are stored as 0-based image tuples; all parsing and printing is
 stabilizer chain (Schreier-Sims, smallest-moved-point-first base) giving exact
 orders, membership and coset orbits at the scales this package targets
 (degree <= ~64).  The order of a meet is read off a coset orbit; a group's
-elements are listed, where a caller needs them, by plain closure.
+elements are listed, where a caller needs them, by plain closure.  A chain
+stores the inverse of each transversal element beside it, and keeps the coset
+action it has worked out (numbered cosets and the moves between them) for its
+whole life, so meets that share the chain do not descend it again.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from operator import itemgetter
 
 
@@ -84,10 +88,13 @@ class Permutation:
         return result
 
     def inverse(self):
+        """The inverse; an involution or the identity returns itself, so a
+        stored inverse transversal holds most elements only once."""
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation._raw(tuple(inv))
+        inv = tuple(inv)
+        return self if inv == self.images else Permutation._raw(inv)
 
     def conjugate(self, g):
         """g^-1 * self * g."""
@@ -98,7 +105,7 @@ class Permutation:
         return self.images[point - 1] + 1
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def is_involution(self):
         images = self.images
@@ -185,14 +192,17 @@ class _Level:
 
     A generator's home level is the first level whose base point it moves;
     the group at level i is generated by the home generators of levels >= i.
+    inverse[b] is the inverse of transversal[b], kept so that sifting and
+    Schreier generators never invert the same element twice.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverse")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
         self.transversal = {point: Permutation.identity(degree)}
+        self.inverse = dict(self.transversal)
 
 
 class StabilizerChain:
@@ -205,6 +215,14 @@ class StabilizerChain:
         self.degree = degree
         self.levels = []
         self._coset_levels = None
+        # The coset action, memoised for the chain's life: canonical
+        # representatives numbered in order of discovery (0 is this group's
+        # own coset), and per generator's images the number each coset moves
+        # to, -1 until the move is first taken.  Representatives are packed
+        # as array("I") bytes, under two thirds of an image tuple's memory.
+        self._reps = []
+        self._rep_number = {}
+        self._moves = {}
         seeded = False
         for g in generators:
             if not g.is_identity():
@@ -243,6 +261,7 @@ class StabilizerChain:
                         lvl.transversal[b] = t * g
                         nxt.append(b)
             frontier = nxt
+        lvl.inverse = {b: t.inverse() for b, t in lvl.transversal.items()}
 
     def _complete(self):
         # Bottom-up verification: a level is complete when all its Schreier
@@ -257,7 +276,7 @@ class StabilizerChain:
             for a in sorted(lvl.transversal):
                 t = lvl.transversal[a]
                 for gen in gens_i:
-                    schreier = t * gen * lvl.transversal[gen.images[a]].inverse()
+                    schreier = t * gen * lvl.inverse[gen.images[a]]
                     residue, _ = self.sift(schreier, start=i + 1)
                     if not residue.is_identity():
                         home = self._home_level(residue, i + 1)
@@ -279,10 +298,10 @@ class StabilizerChain:
             if image == lvl.point:
                 level += 1
                 continue
-            t = lvl.transversal.get(image)
-            if t is None:
+            t_inv = lvl.inverse.get(image)
+            if t_inv is None:
                 return g, level
-            g = g * t.inverse()
+            g = g * t_inv
             level += 1
         return g, level
 
@@ -305,7 +324,9 @@ class StabilizerChain:
         canonical representative: descending the chain, each level keeps
         the transversal element that gives the least image of the level's
         base point (Holt, Eick and O'Brien, Handbook of Computational Group
-        Theory, 2005, 4.6).
+        Theory, 2005, 4.6).  The search runs on coset numbers; a move
+        (coset, generator) is descended once per chain and then looked up,
+        which is exact because G*x*g depends on the coset G*x alone.
         """
         if self._coset_levels is None:
             # Per level: the images of x on the orbit, the base point, and
@@ -316,30 +337,44 @@ class StabilizerChain:
                 for lvl in self.levels
                 if len(lvl.transversal) > 1
             ]
-        levels = self._coset_levels
-
-        def canonical(images):
-            # images of an element x; returns the representative of G*x.
-            for on_orbit, point, times in levels:
-                a = images.index(min(on_orbit(images)))
-                if a != point:
-                    images = times[a](images)
-            return images
-
-        gens = [g.images for g in generators]
-        start = canonical(tuple(range(self.degree)))
-        seen = {start}
-        frontier = [start]
+            self._number(tuple(range(self.degree)))
+        reps, moves = self._reps, self._moves
+        steps = []
+        for g in generators:
+            move = moves.get(g.images)
+            if move is None:
+                move = moves[g.images] = array("i", [-1]) * len(reps)
+            steps.append((g.images, move))
+        seen = {0}
+        frontier = [0]
         while frontier:
             found = []
             for x in frontier:
-                for g in gens:
-                    y = canonical(tuple(map(g.__getitem__, x)))
+                for g, move in steps:
+                    y = move[x]
+                    if y < 0:
+                        y = move[x] = self._number(
+                            tuple(map(g.__getitem__, array("I", reps[x]))))
                     if y not in seen:
                         seen.add(y)
                         found.append(y)
             frontier = found
         return len(seen)
+
+    def _number(self, images):
+        """Number of the coset G*x, x given by its images; new cosets get
+        the next number."""
+        for on_orbit, point, times in self._coset_levels:
+            a = images.index(min(on_orbit(images)))
+            if a != point:
+                images = times[a](images)
+        rep = array("I", images).tobytes()
+        number = self._rep_number.setdefault(rep, len(self._reps))
+        if number == len(self._reps):
+            self._reps.append(rep)
+            for move in self._moves.values():
+                move.append(-1)
+        return number
 
 
 class PermGroup:

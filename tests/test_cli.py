@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stringc
 from stringc.cli import run_cli
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -107,6 +111,8 @@ class TestVerifyCommand:
         (["REP2N#1", "--n", "3"], "REP2N#1: requires n >= 7, got 3"),
         (["T8#1", "--n", "14", "--all"],
          "verify takes a family id or --all, not both"),
+        (["--n", "14", "--all", "--i", "2"], "verify --all takes no --i or --x"),
+        (["--n", "14", "--all", "--x", "1"], "verify --all takes no --i or --x"),
     ])
     def test_bad_parameters_exit_2(self, argv, message, capsys):
         code, text = run(["verify", "--no-timing"] + argv)
@@ -122,6 +128,16 @@ class TestOtherCommands:
     def test_schlafli(self):
         code, text = run(["schlafli", "T8#1", "--n", "14"])
         assert code == 0 and text.strip() == "{2,3,3,3,3,3}"
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(stringc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "stringc", "catalog"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(["catalog"])[1]
 
     def test_catalog_counts(self):
         code, text = run(["catalog", "--format", "json"])

@@ -24,6 +24,18 @@ def grp(degree, *cycle_strings):
     return PermGroup([parse_perm(s, degree) for s in cycle_strings], degree)
 
 
+def random_perm(rng, n):
+    """A random permutation of a random set of 2..n points, so that the
+    groups such permutations generate range from cyclic to Sym(n)."""
+    images = list(range(n))
+    support = rng.sample(images, rng.randint(2, n))
+    moved = support[:]
+    rng.shuffle(moved)
+    for a, b in zip(support, moved):
+        images[a] = b
+    return Permutation(images)
+
+
 class TestParse:
     def test_disjoint_transpositions(self):
         p = parse_perm("(1,2)(3,4)", 4)
@@ -162,6 +174,27 @@ class TestMembership:
         g = grp(7, "(1,2)", "(1,2,3,4,5,6,7)")
         assert all(x in g for x in g.generators)
 
+    def test_random_non_involution_groups_match_brute_force(self):
+        # Transversal elements of such groups are rarely their own inverses,
+        # so sift strips a level only if it uses the stored inverse.
+        rng = random.Random(53)
+        outsiders = 0
+        for _ in range(15):
+            n = rng.randint(5, 7)
+            gens = []
+            while len(gens) < 2:
+                g = random_perm(rng, n)
+                if g.order() > 2:
+                    gens.append(g)
+            group = PermGroup(gens, n)
+            elements = brute_force_elements(gens, n)
+            assert all(g in group for g in elements)
+            for _ in range(100):
+                p = random_perm(rng, n)
+                outsiders += p not in elements
+                assert (p in group) == (p in elements)
+        assert outsiders > 100
+
 
 class TestTransitivity:
     def test_transitive(self):
@@ -276,6 +309,29 @@ class TestCosetOrbit:
             meet = s_elements & brute_force_elements(g_gens, n)
             orbit = StabilizerChain(g_gens, n).coset_orbit_size(s_gens)
             assert orbit == len(s_elements) // len(meet)
+
+    def test_one_chain_answers_many_subgroups(self):
+        # One chain is asked about every subgroup generated by one or two
+        # elements of a shared pool, in a random order, so later queries
+        # walk moves that earlier ones recorded in the chain's memo.
+        rng = random.Random(41)
+        sizes = set()
+        for _ in range(10):
+            n = rng.randint(5, 7)
+            pool = [random_perm(rng, n) for _ in range(4)]
+            g_gens = rng.sample(pool, rng.randint(1, 2))
+            g_elements = brute_force_elements(g_gens, n)
+            chain = StabilizerChain(g_gens, n)
+            queries = [[a] for a in pool] + [
+                [pool[i], pool[j]] for i in range(4) for j in range(4) if i != j
+            ]
+            rng.shuffle(queries)
+            for s_gens in queries:
+                s_elements = brute_force_elements(s_gens, n)
+                orbit = chain.coset_orbit_size(s_gens)
+                assert orbit == len(s_elements) // len(s_elements & g_elements)
+                sizes.add(orbit)
+        assert len(sizes) > 10
 
     def test_subgroup_fixes_its_coset(self):
         chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
