@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .families import descriptor, family_catalog, duality_partner
 from .perms import BlockSystem, PermGroup, Permutation, brute_force_elements
-from .prgraph import canonical_form, graph_to_sggi, is_connected, sggi_to_graph
+from .prgraph import graph_to_sggi, involution_form, is_connected, sggi_to_graph
 from .sggi import (
     IPBudgetExceeded,
     Sggi,
@@ -419,23 +419,29 @@ def _verify_m2(report, desc, s, group, n):
 # ---------------------------------------------------------------------------
 
 
+def _catalog(n):
+    """(descriptor, its own n, why it has no instance on n points or None)
+    per family, in catalog order.  REP2N#k is Sym_n on 2n points, so its
+    own n is n/2."""
+    for desc in family_catalog():
+        if desc.table != "REP2N":
+            yield desc, n, desc.domain_error(n)
+        elif n % 2:
+            yield desc, None, f"acts on 2n points, requires even degree, got {n}"
+        else:
+            yield desc, n // 2, desc.domain_error(n // 2)
+
+
 def catalog_instances(n):
     """(family_id, params) pairs admissible on n points."""
-    out = []
-    for desc in family_catalog():
-        if desc.table == "REP2N":
-            if n % 2 != 0:
-                continue
-            param_n = n // 2
-        else:
-            param_n = n
-        if desc.domain_error(param_n):
-            continue
-        if desc.degree_for(param_n) != n:
-            continue
-        for params in desc.param_sweep(param_n):
-            out.append((desc.id, {"n": param_n, **params}))
-    return out
+    return [(desc.id, {"n": m, **params}) for desc, m, reason in _catalog(n)
+            if not reason for params in desc.param_sweep(m)]
+
+
+def catalog_skips(n):
+    """(family_id, reason) for every family with no instance on n points,
+    in catalog order."""
+    return [(desc.id, reason) for desc, _, reason in _catalog(n) if reason]
 
 
 def _workers(jobs, items):
@@ -569,7 +575,7 @@ def exhaustive_search(
     incremental interval intersection-property criterion (lossless pruning;
     every interval parabolic of a string C-group is itself a string
     C-group).  Tuples conjugate in Sym(n), directly or after reversal, are
-    merged by the canonical forms of their graphs; output order is
+    merged by the canonical forms of their images; output order is
     deterministic and independent of the worker count.
     transitive_only drops intransitive subgroups (only possible when
     subgroup_order is given).
@@ -599,13 +605,8 @@ def exhaustive_search(
         raw += [[model.elements[e].images for e in combo] for combo in found]
         completed = completed and done
     if transitive_only:
-        raw = [
-            combo
-            for combo in raw
-            if PermGroup(
-                [Permutation(im) for im in combo], ambient.degree
-            ).is_transitive()
-        ]
+        # The form's components are the orbits of the generated group.
+        raw = [combo for combo in raw if len(involution_form(combo)[2]) == 1]
     items, merged = _dedup(raw)
     return SearchOutcome(items, completed, time.perf_counter() - started, merged)
 
@@ -707,23 +708,24 @@ def _dedup(raw_tuples):
     """Deduplication of raw generator-image tuples up to conjugacy in
     Sym(n) and duality.
 
-    A tuple's key is the smaller canonical form of its graph and of its
-    dual's graph, so two tuples share a key exactly when they are conjugate,
-    directly or after reversal.  The first tuple of each class in sorted
-    order is kept, oriented so that its Schlafli symbol is no larger than
-    the reversed one.  Both orientations generate the same group, so the
-    dual's signature is this one with the Schlafli symbol reversed.  Classes
-    are listed by signature, then by their printed generators.
+    A tuple's key is the smaller involution_form of its images and of the
+    reversed images (its dual's), so two tuples share a key exactly when
+    they are conjugate, directly or after reversal.  Only the first tuple of
+    each class in sorted order becomes an Sggi, oriented so that its
+    Schlafli symbol is no larger than the reversed one.  Both orientations
+    generate the same group, so the dual's signature is this one with the
+    Schlafli symbol reversed.  Classes are listed by signature, then by
+    their printed generators.
     """
     raw_tuples = sorted(raw_tuples)
     classes = {}
     for images_list in raw_tuples:
-        s = Sggi([Permutation(images) for images in images_list])
-        key = min(canonical_form(sggi_to_graph(s)),
-                  canonical_form(sggi_to_graph(dual(s))))
-        classes.setdefault(key, s)
+        key = min(involution_form(images_list),
+                  involution_form(images_list[::-1]))
+        classes.setdefault(key, images_list)
     items = []
-    for s in classes.values():
+    for images_list in classes.values():
+        s = Sggi([Permutation(images) for images in images_list])
         sig = signature(s)
         if sig.schlafli[::-1] < sig.schlafli:
             s = dual(s)
@@ -770,6 +772,7 @@ __all__ = [
     "verify_instance",
     "verify_catalog",
     "catalog_instances",
+    "catalog_skips",
     "reports_to_json",
     "SearchOutcome",
     "exhaustive_search",

@@ -2,7 +2,8 @@
 
 Exit status: 0 success, 1 verification failure, 2 usage or domain error,
 or a runtime error such as a --jobs worker process dying (reported as
-"stringc: error: ..." on stderr, never as a traceback).
+"stringc: error: ..." on stderr, never as a traceback) or stdout closed by
+its reader (reported by the status alone).
 All output is deterministic; verify output is byte-identical across runs
 under --no-timing.
 """
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .ambients import ambient_names, named_ambient
 from .classify import (
+    catalog_skips,
     reports_to_json,
     exhaustive_search,
     verify_catalog,
@@ -152,12 +155,8 @@ def _cmd_verify(args, out):
                 line += f" ({rep.timing_ms:.0f} ms)"
             out.write(line + "\n")
         if args.all:
-            for desc in family_catalog():
-                if desc.table not in ("T4", "T5", "T6", "T7", "T8", "P61"):
-                    continue
-                message = desc.domain_error(args.n)
-                if message:
-                    out.write(f"# skipped {desc.id}: {message}\n")
+            for fid, reason in catalog_skips(args.n):
+                out.write(f"# skipped {fid}: {reason}\n")
         statuses = [r.status for r in reports]
         summary = f"# {statuses.count('PASS')}/{len(reports)} instances pass"
         if "UNDECIDED" in statuses:
@@ -294,7 +293,15 @@ def run_cli(argv, out=None):
 
 
 def main():
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point stdout at
+        # os.devnull so that the flush at interpreter exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = USAGE_ERROR
+    sys.exit(status)
 
 
 if __name__ == "__main__":

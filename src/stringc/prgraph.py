@@ -86,31 +86,19 @@ def _validate(n, rank, edges):
 def _check_squares(n, i, j, edges_i, edges_j):
     # Components of the {i,j}-subgraph with more than two vertices must be
     # squares with alternating labels.
-    adj = {}
-    for lbl, pairs in ((i, edges_i), (j, edges_j)):
+    nbr = [[v, v] for v in range(n + 1)]
+    for side, pairs in enumerate((edges_i, edges_j)):
         for u, v in pairs:
-            adj.setdefault(u, []).append((v, lbl))
-            adj.setdefault(v, []).append((u, lbl))
+            nbr[u][side], nbr[v][side] = v, u
     seen = set()
-    for start in sorted(adj):
+    for start in range(1, n + 1):
         if start in seen:
             continue
-        component = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y, _ in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    component.append(y)
-                    queue.append(y)
+        _, component = _table(nbr, start)
+        seen.update(component)
         if len(component) <= 2:
             continue
-        degrees_ok = len(component) == 4 and all(
-            sorted(lbl for _, lbl in adj[x]) == [i, j] for x in component
-        )
-        if not degrees_ok:
+        if len(component) != 4 or any(x in nbr[x] for x in component):
             raise GraphError(
                 f"labels {{{i},{j}}} are non-adjacent but their subgraph has a "
                 f"component on vertices {sorted(component)} that is not an "
@@ -139,19 +127,8 @@ def sggi_to_graph(s: Sggi) -> PRGraph:
 
 
 def is_connected(g: PRGraph) -> bool:
-    adj = {v: [] for v in range(1, g.vertices + 1)}
-    for _, u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    queue = [1]
-    while queue:
-        x = queue.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.vertices
+    """One component, read off the canonical form."""
+    return len(canonical_form(g)[2]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +214,17 @@ def emit_dot(g: PRGraph) -> str:
 # ---------------------------------------------------------------------------
 # Canonical form under vertex renaming: the standardised numbering of a coset
 # table (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-# 2005).  nbr[v][l] is v's partner under label l, or v itself when l fixes v;
-# each label is a matching, so this is well defined.  A component numbered
-# breadth-first from a start vertex, scanning labels in order, is read as
-# the table number[nbr[x][l]] over x in numbering order and l in 0..r-1; the
-# least table over all start vertices is the component's canonical form.
-# An isomorphism carries the numbering from v to the numbering from v's
-# image, so isomorphic components have equal least tables.  Equal tables
-# compose into an isomorphism (the i-th vertex of one numbering to the i-th
-# of the other), so equal least tables mean isomorphic components.  The
-# graph's form lists the sorted (component size, least table) pairs.
+# 2005).  The form is read off the generator images: nbr[v][l] = images[l][v]
+# is v's partner under label l, or v itself when l fixes v.  A component
+# numbered breadth-first from a start vertex, scanning labels in order, is
+# read as the table number[nbr[x][l]] over x in numbering order and l in
+# 0..r-1; the least table over all start vertices is the component's
+# canonical form.  An isomorphism carries the numbering from v to the
+# numbering from v's image, so isomorphic components have equal least
+# tables.  Equal tables compose into an isomorphism (the i-th vertex of one
+# numbering to the i-th of the other), so equal least tables mean isomorphic
+# components.  The form lists the sorted (component size, least table)
+# pairs; the components are the orbits of the generated group.
 # ---------------------------------------------------------------------------
 
 
@@ -263,20 +241,24 @@ def _table(nbr, start):
     return tuple(table), order
 
 
-def canonical_form(g: PRGraph):
-    nbr = [[v] * g.rank for v in range(g.vertices + 1)]
-    for lbl, u, v in g.edges:
-        nbr[u][lbl] = v
-        nbr[v][lbl] = u
+def involution_form(images):
+    """Canonical form of the graph of involutions given as image tuples,
+    one per label; the dual's form is involution_form(images[::-1])."""
+    nbr = list(zip(*images))
     seen = set()
     components = []
-    for start in range(1, g.vertices + 1):
+    for start in range(len(nbr)):
         if start in seen:
             continue
         _, comp = _table(nbr, start)
         seen.update(comp)
         components.append((len(comp), min(_table(nbr, v)[0] for v in comp)))
-    return (g.vertices, g.rank, tuple(sorted(components)))
+    return (len(nbr), len(images), tuple(sorted(components)))
+
+
+def canonical_form(g: PRGraph):
+    """The involution_form of the graph's generators."""
+    return involution_form([p.images for p in graph_to_sggi(g).gens])
 
 
 def isomorphic(a: PRGraph, b: PRGraph) -> bool:
@@ -294,5 +276,6 @@ __all__ = [
     "emit_dsl",
     "emit_dot",
     "canonical_form",
+    "involution_form",
     "isomorphic",
 ]

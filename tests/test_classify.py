@@ -12,12 +12,14 @@ from stringc.classify import (
     _dedup,
     brute_force_search,
     catalog_instances,
+    catalog_skips,
     exhaustive_search,
     reports_to_json,
     signature,
     verify_catalog,
     verify_instance,
 )
+from stringc.families import family_catalog
 from stringc.perms import PermGroup, parse_perm
 from stringc.sggi import Sggi, dual
 
@@ -96,6 +98,24 @@ class TestCatalogInstances:
     def test_rep2n_param_mapping(self):
         params = [p for fid, p in catalog_instances(14) if fid == "REP2N#1"]
         assert params == [{"n": 7}]
+
+    @pytest.mark.parametrize("n, skipped", [
+        (5, {"HIGHC#2", "REP2N#1", "REP2N#2"}),
+        (15, {"REP2N#1", "REP2N#2"}),
+        (16, set()),
+    ])
+    def test_every_family_is_listed_or_skipped(self, n, skipped):
+        # Each family has instances on n points or one skip with a reason,
+        # and the skips come in catalog order.
+        listed = {fid for fid, _ in catalog_instances(n)}
+        skips = catalog_skips(n)
+        ids = [d.id for d in family_catalog()]
+        assert [fid for fid, _ in skips] == [
+            fid for fid in ids if fid not in listed]
+        assert all(reason for _, reason in skips)
+        tables = {fid for fid in ids if fid.split("#")[0] in (
+            "T4", "T5", "T6", "T7", "T8", "P61")}
+        assert {fid for fid, _ in skips} - tables == skipped
 
 
 class TestVerifyInstance:
@@ -284,6 +304,23 @@ class TestSearch:
         assert outcome.completed
         assert (outcome.merged_duplicates, len(outcome.items)) == (
             merged, classes)
+
+    @pytest.mark.parametrize("name, order, merged, classes, unfiltered", [
+        ("s3wrS2-deg6", 36, 106, 2, 4),
+        ("sym4-deg4", 4, 2, 1, 3),
+    ])
+    def test_transitive_only_keeps_the_transitive_items(
+            self, name, order, merged, classes, unfiltered):
+        ambient = named_ambient(name)
+        kept = exhaustive_search(ambient, 2, 4, subgroup_order=order,
+                                 transitive_only=True)
+        every = exhaustive_search(ambient, 2, 4, subgroup_order=order)
+        transitive = [(s, sig) for s, sig in every.items
+                      if PermGroup(list(s.gens), s.degree).is_transitive()]
+        assert len(every.items) == unfiltered
+        assert (kept.merged_duplicates, len(kept.items)) == (merged, classes)
+        assert [([g.images for g in s.gens], sig) for s, sig in kept.items] == [
+            ([g.images for g in s.gens], sig) for s, sig in transitive]
 
     def test_budget_flag(self):
         outcome = exhaustive_search(

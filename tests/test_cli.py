@@ -11,6 +11,7 @@ import pytest
 
 import stringc
 from stringc.cli import run_cli
+from stringc.families import family_catalog
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -119,6 +120,20 @@ class TestVerifyCommand:
         assert code == 2 and text == ""
         assert capsys.readouterr().err == f"stringc: error: {message}\n"
 
+    def test_all_names_every_skipped_family(self):
+        # At n = 5 only HIGHC#1 has an instance; every other family gets a
+        # skip line with its reason, in catalog order.
+        code, text = run(["verify", "--n", "5", "--all", "--no-timing"])
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0].startswith("PASS HIGHC#1 ")
+        skipped = [line.split()[2].rstrip(":") for line in lines
+                   if line.startswith("# skipped ")]
+        assert skipped == [d.id for d in family_catalog()
+                           if d.id != "HIGHC#1"]
+        assert "# skipped HIGHC#2: requires n >= 7, got 5" in lines
+        assert lines[-1] == "# 1/1 instances pass"
+
     def test_byte_identical_with_no_timing(self):
         args = ["verify", "T6#21", "--n", "14", "--format", "json", "--no-timing"]
         assert run(args) == run(args)
@@ -138,6 +153,25 @@ class TestOtherCommands:
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout == run(["catalog"])[1]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_2_quietly(self, unbuffered):
+        # Unbuffered, the first write fails inside the command; buffered,
+        # the output waits for the final flush.
+        src = str(Path(stringc.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stringc", "verify", "--n", "5", "--all"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == b""
 
     def test_catalog_counts(self):
         code, text = run(["catalog", "--format", "json"])

@@ -13,12 +13,13 @@ from stringc.prgraph import (
     emit_dot,
     emit_dsl,
     graph_to_sggi,
+    involution_form,
     is_connected,
     isomorphic,
     parse_graph,
     sggi_to_graph,
 )
-from stringc.sggi import Sggi, SggiError
+from stringc.sggi import Sggi, SggiError, dual
 
 
 class TestParse:
@@ -211,17 +212,8 @@ class TestCanonicalForm:
         # every vertex bijection.  Half the pairs are relabellings, half are
         # independent graphs of the same size, which are mostly not
         # isomorphic at this size.
-        rng = random.Random(29)
         seen = set()
-        for _ in range(300):
-            n, rank = rng.randint(2, 6), rng.randint(1, 3)
-            a = _small_valid_graph(rng, n, rank)
-            if rng.random() < 0.5:
-                relabel = rng.sample(range(1, n + 1), n)
-                b = PRGraph(n, rank, [(lbl, relabel[u - 1], relabel[v - 1])
-                                      for lbl, u, v in a.edges])
-            else:
-                b = _small_valid_graph(rng, n, rank)
+        for a, b in _comparison_corpus():
             expected = _brute_force_isomorphic(a, b)
             assert isomorphic(a, b) == expected, (a.edges, b.edges)
             seen.add(expected)
@@ -230,6 +222,61 @@ class TestCanonicalForm:
             seen.update(("J-edge",) for g in (a, b)
                         if len({(u, v) for _, u, v in g.edges}) < len(g.edges))
         assert seen == {True, False, ("disconnected",), ("J-edge",)}
+
+
+class TestInvolutionForm:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from stringc.classify import catalog_instances
+        from stringc.families import instantiate_family
+
+        corpus = [g for pair in _comparison_corpus() for g in pair]
+        catalog = [instantiate_family(fid, params)
+                   for fid, params in catalog_instances(14)]
+        assert len(catalog) == 59
+        return corpus + catalog
+
+    def test_form_of_images_is_the_graph_form(self, graphs):
+        # Images written straight from the edges, 0-based, not through
+        # graph_to_sggi.
+        for g in graphs:
+            images = [list(range(g.vertices)) for _ in range(g.rank)]
+            for lbl, u, v in g.edges:
+                images[lbl][u - 1], images[lbl][v - 1] = v - 1, u - 1
+            assert involution_form(images) == canonical_form(g)
+
+    def test_reversed_images_give_the_dual_form(self, graphs):
+        for g in graphs:
+            s = graph_to_sggi(g)
+            images = [p.images for p in s.gens]
+            assert involution_form(images[::-1]) == canonical_form(
+                sggi_to_graph(dual(s)))
+
+    def test_one_component_iff_transitive(self, graphs):
+        kinds = set()
+        for g in graphs:
+            s = graph_to_sggi(g)
+            components = involution_form([p.images for p in s.gens])[2]
+            transitive = PermGroup(list(s.gens), s.degree).is_transitive()
+            assert (len(components) == 1) == transitive == is_connected(g)
+            kinds.add(transitive)
+        assert kinds == {True, False}
+
+
+def _comparison_corpus():
+    """300 pairs of small valid graphs of equal size, half of them a
+    relabelling of each other."""
+    rng = random.Random(29)
+    for _ in range(300):
+        n, rank = rng.randint(2, 6), rng.randint(1, 3)
+        a = _small_valid_graph(rng, n, rank)
+        if rng.random() < 0.5:
+            relabel = rng.sample(range(1, n + 1), n)
+            b = PRGraph(n, rank, [(lbl, relabel[u - 1], relabel[v - 1])
+                                  for lbl, u, v in a.edges])
+        else:
+            b = _small_valid_graph(rng, n, rank)
+        yield a, b
 
 
 def _small_valid_graph(rng, n, rank):
