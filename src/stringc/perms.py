@@ -8,7 +8,10 @@ orders, membership and coset orbits at the scales this package targets
 elements are listed, where a caller needs them, by plain closure.  A chain
 stores the inverse of each transversal element beside it, and keeps the coset
 action it has worked out (numbered cosets and the moves between them) for its
-whole life, so meets that share the chain do not descend it again.
+whole life, so meets that share the chain do not descend it again.  A chain
+of <H, g> may be built by extending a complete chain of H: the new chain
+starts from H's levels and transversals and sifts only the Schreier
+generators that H's chain has not already settled.
 """
 
 from __future__ import annotations
@@ -21,6 +24,17 @@ from operator import itemgetter
 
 class PermError(ValueError):
     """Malformed permutation input or degree mismatch."""
+
+
+class _IdentityImages(dict):
+    """The identity's image tuple per degree, each built once."""
+
+    def __missing__(self, degree):
+        images = self[degree] = tuple(range(degree))
+        return images
+
+
+_IDENTITY = _IdentityImages()
 
 
 class Permutation:
@@ -53,7 +67,7 @@ class Permutation:
 
     @staticmethod
     def identity(degree):
-        return Permutation._raw(tuple(range(degree)))
+        return Permutation._raw(_IDENTITY[degree])
 
     @staticmethod
     def from_cycles(cycles, degree):
@@ -105,7 +119,7 @@ class Permutation:
         return self.images[point - 1] + 1
 
     def is_identity(self):
-        return self.images == tuple(range(len(self.images)))
+        return self.images == _IDENTITY[len(self.images)]
 
     def is_involution(self):
         images = self.images
@@ -194,26 +208,51 @@ class _Level:
     the group at level i is generated by the home generators of levels >= i.
     inverse[b] is the inverse of transversal[b], kept so that sifting and
     Schreier generators never invert the same element twice.
+
+    While a chain is built, known holds a transversal, its inverses and a
+    set of generator images such that every Schreier generator of that
+    transversal and those generators is known to sift to the identity.
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverse")
+    __slots__ = ("point", "gens", "transversal", "inverse", "known")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
         self.transversal = {point: Permutation.identity(degree)}
         self.inverse = dict(self.transversal)
+        self.known = (self.transversal, self.inverse, frozenset())
+
+    def extension(self, gens):
+        """A twin for a chain that extends this level's complete chain, with
+        gens the generators of this level's group.  The twin has its own
+        gens list and shares the transversal dicts, which
+        _rebuild_transversal replaces and never mutates."""
+        twin = _Level.__new__(_Level)
+        twin.point = self.point
+        twin.gens = list(self.gens)
+        twin.transversal = self.transversal
+        twin.inverse = self.inverse
+        twin.known = (self.transversal, self.inverse,
+                      {g.images for g in gens})
+        return twin
 
 
 class StabilizerChain:
     """Deterministic Schreier-Sims chain.
 
     A new level takes the smallest point moved by the residue that forced it.
+    Given `extends`, a complete chain of some group H, the chain is built for
+    <H, generators> by adding the generators to a copy of H's levels (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.4);
+    the chain extended is left as it was.
     """
 
-    def __init__(self, generators, degree):
+    def __init__(self, generators, degree, extends=None):
         self.degree = degree
-        self.levels = []
+        self.levels = [] if extends is None else [
+            lvl.extension(extends._gens_at(i))
+            for i, lvl in enumerate(extends.levels)]
         self._coset_levels = None
         # The coset action, memoised for the chain's life: canonical
         # representatives numbered in order of discovery (0 is this group's
@@ -223,13 +262,18 @@ class StabilizerChain:
         self._reps = []
         self._rep_number = {}
         self._moves = {}
-        seeded = False
+        deepest = -1
         for g in generators:
             if not g.is_identity():
-                self.levels[self._home_level(g, 0)].gens.append(g)
-                seeded = True
-        if seeded:
-            self._complete()
+                home = self._home_level(g, 0)
+                self.levels[home].gens.append(g)
+                deepest = max(deepest, home)
+        # Levels past the deepest home are complete already: no new
+        # generator lies in their groups.
+        if deepest >= 0:
+            self._complete(deepest)
+        for lvl in self.levels:
+            lvl.known = None  # needed only while the chain is built
 
     def _home_level(self, g, start):
         """First level at or past start whose point g moves; creates levels."""
@@ -246,39 +290,68 @@ class StabilizerChain:
         return [g for lvl in self.levels[level:] for g in lvl.gens]
 
     def _rebuild_transversal(self, level, gens):
-        # BFS in sorted order keeps the transversal deterministic.
+        """Extend the level's known transversal to the orbit of gens.
+
+        The BFS runs in sorted order, which keeps the transversal
+        deterministic.  Returns the tree edges: the pairs (a, j) that
+        defined transversal[a^g] = transversal[a] * g for g = gens[j].
+        """
         lvl = self.levels[level]
-        lvl.transversal = {lvl.point: Permutation.identity(self.degree)}
-        frontier = [lvl.point]
+        transversal, inverse = dict(lvl.known[0]), dict(lvl.known[1])
+        tree = set()
+        frontier = list(transversal)
         while frontier:
             frontier.sort()
             nxt = []
             for a in frontier:
-                t = lvl.transversal[a]
-                for g in gens:
+                t = transversal[a]
+                for j, g in enumerate(gens):
                     b = g.images[a]
-                    if b not in lvl.transversal:
-                        lvl.transversal[b] = t * g
+                    if b not in transversal:
+                        transversal[b] = tb = t * g
+                        inverse[b] = tb.inverse()
+                        tree.add((a, j))
                         nxt.append(b)
             frontier = nxt
-        lvl.inverse = {b: t.inverse() for b, t in lvl.transversal.items()}
+        lvl.transversal, lvl.inverse = transversal, inverse
+        return tree
 
-    def _complete(self):
-        # Bottom-up verification: a level is complete when all its Schreier
-        # generators sift to identity through the (already complete) deeper
-        # levels.  New residues restart verification at their home level.
-        i = len(self.levels) - 1
+    def _complete(self, start):
+        # Bottom-up verification from level start, past which every level is
+        # complete: a level is complete when all its Schreier generators
+        # sift to identity through the (already complete) deeper levels.
+        # New residues restart verification at their home level.
+        #
+        # Two kinds of Schreier generator t_a * g * t_(a^g)^-1 are skipped
+        # unsifted.  On a tree edge, t_(a^g) is t_a * g itself, so the
+        # generator is the identity.  For a on the known transversal's orbit
+        # and g among the known generators, t_a and t_(a^g) are the known
+        # transversal's, so the generator was sifted to the identity before:
+        # it lies in the group the deeper levels had then, which they still
+        # contain, complete.  That holds for the chain extended (its levels
+        # were complete) and for a level verified earlier in this build.
+        identity = _IDENTITY[self.degree]
+        i = start
         while i >= 0:
             lvl = self.levels[i]
             gens_i = self._gens_at(i)
-            self._rebuild_transversal(i, gens_i)
+            tree = self._rebuild_transversal(i, gens_i)
+            known_orbit, _, known_images = lvl.known
+            every = range(len(gens_i))
+            fresh = [j for j in every if gens_i[j].images not in known_images]
             home = None
             for a in sorted(lvl.transversal):
                 t = lvl.transversal[a]
-                for gen in gens_i:
-                    schreier = t * gen * lvl.inverse[gen.images[a]]
-                    residue, _ = self.sift(schreier, start=i + 1)
-                    if not residue.is_identity():
+                for j in fresh if a in known_orbit else every:
+                    if (a, j) in tree:
+                        continue
+                    gen = gens_i[j].images
+                    # t_a * g * t_(a^g)^-1, composed on images in one pass.
+                    residue = self._sift(tuple(map(
+                        lvl.inverse[gen[a]].images.__getitem__,
+                        map(gen.__getitem__, t.images))), i + 1)
+                    if residue != identity:
+                        residue = Permutation._raw(residue)
                         home = self._home_level(residue, i + 1)
                         self.levels[home].gens.append(residue)
                         break
@@ -287,27 +360,24 @@ class StabilizerChain:
             if home is not None:
                 i = home
             else:
+                lvl.known = (lvl.transversal, lvl.inverse,
+                             {g.images for g in gens_i})
                 i -= 1
 
-    def sift(self, g, start=0):
-        """Strip g through the chain; returns (residue, level reached)."""
-        level = start
-        while level < len(self.levels):
-            lvl = self.levels[level]
-            image = g.images[lvl.point]
-            if image == lvl.point:
-                level += 1
-                continue
-            t_inv = lvl.inverse.get(image)
-            if t_inv is None:
-                return g, level
-            g = g * t_inv
-            level += 1
-        return g, level
+    def _sift(self, images, start):
+        """Strip a permutation, given by its images, through the levels from
+        start on; returns the residue's images."""
+        for lvl in self.levels[start:]:
+            image = images[lvl.point]
+            if image != lvl.point:
+                t_inv = lvl.inverse.get(image)
+                if t_inv is None:
+                    break
+                images = tuple(map(t_inv.images.__getitem__, images))
+        return images
 
     def contains(self, g):
-        residue, _ = self.sift(g)
-        return residue.is_identity()
+        return self._sift(g.images, 0) == _IDENTITY[self.degree]
 
     def order(self):
         n = 1
@@ -337,7 +407,7 @@ class StabilizerChain:
                 for lvl in self.levels
                 if len(lvl.transversal) > 1
             ]
-            self._number(tuple(range(self.degree)))
+            self._number(_IDENTITY[self.degree])
         reps, moves = self._reps, self._moves
         steps = []
         for g in generators:

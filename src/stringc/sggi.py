@@ -162,13 +162,17 @@ _ORBIT_CAP = 10**5
 class SubsetLattice:
     """Orders and pairwise meets of generator-subset subgroups, lazily built.
 
-    Chains are kept per mask and meets per unordered mask pair.  Shared by
+    Chains and orders are kept per mask and meets per unordered mask pair.
+    The chain of <J>, for J of two or more generators, extends the chain of
+    <J minus its highest index> by that generator, built first if need be;
+    the empty mask and single generators are built from scratch.  Shared by
     the naive and recursive checkers so verification builds it only once.
     """
 
     def __init__(self, s: Sggi):
         self.s = s
         self._chains = {}
+        self._orders = {}
         self._elsets = {}
         self._pair_orders = {}
 
@@ -176,12 +180,23 @@ class SubsetLattice:
         return [self.s.gens[i] for i in range(self.s.rank) if mask >> i & 1]
 
     def chain(self, mask):
-        if mask not in self._chains:
-            self._chains[mask] = StabilizerChain(self.gens(mask), self.s.degree)
-        return self._chains[mask]
+        chain = self._chains.get(mask)
+        if chain is None:
+            if mask & (mask - 1) == 0:  # no generator or one
+                chain = StabilizerChain(self.gens(mask), self.s.degree)
+            else:
+                top = mask.bit_length() - 1
+                chain = StabilizerChain(
+                    [self.s.gens[top]], self.s.degree,
+                    extends=self.chain(mask & ~(1 << top)))
+            self._chains[mask] = chain
+        return chain
 
     def order(self, mask):
-        return self.chain(mask).order()
+        order = self._orders.get(mask)
+        if order is None:
+            order = self._orders[mask] = self.chain(mask).order()
+        return order
 
     def element_set(self, mask):
         """Every element of <mask> as an image tuple, by closure; a test

@@ -1,5 +1,6 @@
 """Permutation and group engine tests, including brute-force oracles."""
 
+import math
 import pickle
 import random
 
@@ -337,3 +338,65 @@ class TestCosetOrbit:
         chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
                                  parse_perm("(1,2)", 5)], 5)
         assert chain.coset_orbit_size([parse_perm("(2,4)(3,5)", 5)]) == 1
+
+
+class TestChainExtension:
+    def test_extended_chain_matches_chain_from_scratch(self):
+        # <H, g...> by extending H's chain, against a chain of all the
+        # generators at once and against closure: order, membership of
+        # random permutations and coset orbits of random subgroups.
+        rng = random.Random(61)
+        for _ in range(25):
+            n = rng.randint(4, 7)
+            pool = [random_perm(rng, n) for _ in range(rng.randint(2, 4))]
+            cut = rng.randint(0, len(pool) - 1)
+            base = StabilizerChain(pool[:cut], n)
+            extended = StabilizerChain(pool[cut:], n, extends=base)
+            scratch = StabilizerChain(pool, n)
+            elements = brute_force_elements(pool, n)
+            assert extended.order() == scratch.order() == len(elements)
+            assert extended.order() == brute_force_order(pool, n)
+            for _ in range(30):
+                p = random_perm(rng, n)
+                assert extended.contains(p) == scratch.contains(p) == (
+                    p in elements)
+            for _ in range(4):
+                s_gens = [random_perm(rng, n) for _ in range(rng.randint(1, 2))]
+                s_elements = brute_force_elements(s_gens, n)
+                orbit = len(s_elements) // len(s_elements & elements)
+                assert extended.coset_orbit_size(s_gens) == orbit
+                assert scratch.coset_orbit_size(s_gens) == orbit
+
+    def test_extension_of_an_extension(self):
+        # Generators added one at a time, as SubsetLattice adds them; the
+        # chain of <(1,2), ..., (k-1,k)> is Sym(k) on the first k of 8 points.
+        gens = [parse_perm(f"({i},{i + 1})", 8) for i in range(1, 7)]
+        chain = StabilizerChain(gens[:1], 8)
+        for k, g in enumerate(gens[1:], start=3):
+            chain = StabilizerChain([g], 8, extends=chain)
+            assert chain.order() == math.factorial(k)
+            assert chain.contains(parse_perm(f"(1,{k})", 8))
+            assert not chain.contains(parse_perm(f"(1,{k + 1})", 8))
+        assert StabilizerChain([], 8, extends=chain).order() == 5040
+        assert StabilizerChain(gens[:2], 8, extends=chain).order() == 5040
+
+    def test_extended_chain_is_left_unchanged(self):
+        rng = random.Random(67)
+        for _ in range(15):
+            n = rng.randint(5, 8)
+            base_gens = [random_perm(rng, n) for _ in range(2)]
+            base = StabilizerChain(base_gens, n)
+            queries = [[random_perm(rng, n)] for _ in range(4)]
+            before = [base.coset_orbit_size(q) for q in queries]
+            order = base.order()
+            level_gens = [list(lvl.gens) for lvl in base.levels]
+            transversals = [dict(lvl.transversal) for lvl in base.levels]
+            reps = list(base._reps)
+            extended = StabilizerChain([random_perm(rng, n)], n, extends=base)
+            extended.coset_orbit_size(queries[0])
+            assert base.order() == order
+            assert [lvl.gens for lvl in base.levels] == level_gens
+            assert [lvl.transversal for lvl in base.levels] == transversals
+            assert base._reps == reps
+            assert [base.coset_orbit_size(q) for q in queries] == before
+            assert base.order() == brute_force_order(base_gens, n)

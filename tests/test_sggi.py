@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stringc.ambients import named_ambient
 from stringc.perms import (
     PermGroup,
     Permutation,
@@ -51,6 +54,31 @@ def random_sggi(rng, degree, rank):
         except SggiError:
             continue
     raise AssertionError("could not sample a random sggi")
+
+
+def _involutions(name):
+    group = named_ambient(name)
+    return sorted(g for g in brute_force_elements(group.generators, group.degree)
+                  if g.is_involution())
+
+
+AMBIENT_INVOLUTIONS = {name: _involutions(name)
+                       for name in ("sym4-deg4", "c2wrS3-deg6")}
+
+
+@st.composite
+def ambient_sggis(draw):
+    """Generator tuples of rank 1..4 in a small ambient, as the search
+    builds them: each generator commutes with all but its predecessor.
+    Repeated generators are allowed."""
+    pool = AMBIENT_INVOLUTIONS[draw(st.sampled_from(sorted(AMBIENT_INVOLUTIONS)))]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        fits = [g for g in pool if all(g * h == h * g for h in gens[:-1])]
+        if not fits:
+            break
+        gens.append(draw(st.sampled_from(fits)))
+    return Sggi(gens, strict=False)
 
 
 class TestMakeSggi:
@@ -258,3 +286,21 @@ class TestIntersectionOrder:
             SubsetLattice(s).intersection_order(0b0011, 0b0110)
         with pytest.raises(IPBudgetExceeded, match=r"interval \[0,2\]"):
             check_intersection_property(s, "recursive")
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=ambient_sggis(), data=st.data())
+def test_lattice_orders_and_meets_match_closures(s, data):
+    # Every mask, the empty one included, and every pair of masks; the
+    # orders are asked in a drawn order, so chains are built, and extended
+    # from their subsets' chains, in varying order.
+    lattice = SubsetLattice(s)
+    masks = range(1 << s.rank)
+    closures = {m: brute_force_elements(lattice.gens(m), s.degree)
+                for m in masks}
+    for m in data.draw(st.permutations(masks)):
+        assert lattice.order(m) == len(closures[m])
+    for j in masks:
+        for k in masks:
+            assert lattice.intersection_order(j, k) == len(
+                closures[j] & closures[k])
