@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .prgraph import PRGraph, canonical_form, graph_to_sggi, sggi_to_graph
-from .sggi import dual
+from .prgraph import PRGraph, canonical_form, graph_to_sggi, involution_form
+
+# Unused here, but bench/tracing.py patches stringc.families by this name.
+from .prgraph import sggi_to_graph  # noqa: F401
 
 
 class FamilyDomainError(ValueError):
@@ -932,8 +934,8 @@ def duality_partner(family_id, n):
     outcomes = set()
     for params in sweeps:
         graph = desc.instantiate(n, params)
-        dual_graph = sggi_to_graph(dual(graph_to_sggi(graph)))
-        hit = forms.get(canonical_form(dual_graph))
+        images = [p.images for p in graph_to_sggi(graph).gens]
+        hit = forms.get(involution_form(images[::-1]))
         if hit is None:
             outcomes.add(None)
         elif hit[0] == family_id:

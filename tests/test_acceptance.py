@@ -10,6 +10,7 @@ not in the repository, so the transcription itself cannot yet be compared
 with them.  All other criteria pass.
 """
 
+import json
 import math
 import os
 import random
@@ -413,6 +414,22 @@ class TestCriterion8:
             orders = _witness_orders(fid, *oracle["evidence"]["witness"])
             assert orders[2] > orders[3], (fid, orders)
 
+
+    def test_ip_verdicts_match_goldens(self, catalog_reports):
+        """Each n=14 instance's intersection_property and naive_oracle
+        checks, as verify --no-timing reports them, equal the goldens."""
+        reports, _ = catalog_reports
+        verdicts = []
+        for rep in reports:
+            checks = rep.to_dict(no_timing=True)["checks"]
+            verdicts.append({
+                "instance": rep.instance,
+                "params": rep.params,
+                "intersection_property": checks["intersection_property"],
+                "naive_oracle": checks.get("naive_oracle"),
+            })
+        golden = (GOLDENS / "ip_verdicts_n14.json").read_text()
+        assert json.loads(json.dumps(verdicts)) == json.loads(golden)
 
 class TestCriterion9:
     def test_round_trips_and_dot_goldens(self):

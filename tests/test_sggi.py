@@ -1,5 +1,6 @@
 """Sggi validation, Schlafli symbols, duality and intersection checks."""
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from stringc.perms import (
 )
 from stringc.sggi import (
     IPBudgetExceeded,
+    IPResult,
     SchlafliSymbol,
     Sggi,
     SggiError,
@@ -79,6 +81,54 @@ def ambient_sggis(draw):
             break
         gens.append(draw(st.sampled_from(fits)))
     return Sggi(gens, strict=False)
+
+
+def reference_naive(s):
+    """The naive oracle with every non-nested pair met directly, in the
+    same increasing-bitmask order: the reference for the wider-pair scan."""
+    lattice = SubsetLattice(s)
+    full = (1 << s.rank) - 1
+    to_set = lambda m: frozenset(i for i in range(s.rank) if m >> i & 1)
+    for mask_j in range(1, full + 1):
+        for mask_k in range(mask_j + 1, full + 1):
+            meet = mask_j & mask_k
+            if meet in (mask_j, mask_k):
+                continue
+            if lattice.intersection_order(mask_j, mask_k) != lattice.order(meet):
+                return IPResult(False, (to_set(mask_j), to_set(mask_k)))
+    return IPResult(True)
+
+
+def perturbed_simplex(rng, rank):
+    """Non-strict sggi: the Coxeter generators of Sym(rank + 1) on shuffled
+    points among rank + 1 or rank + 2, with up to two generators after the
+    first replaced by an involution that keeps the commuting rule, often a
+    repeat or a product of generators.  Failures then come late in the
+    scan, and many wider pairs fail."""
+    degree = rank + rng.randint(1, 2)
+    points = list(range(degree))
+    rng.shuffle(points)
+    gens = []
+    for a, b in zip(points, points[1:rank + 1]):
+        images = list(range(degree))
+        images[a], images[b] = b, a
+        gens.append(Permutation(images))
+    pool = [Permutation(p) for p in itertools.permutations(range(degree))
+            if p != tuple(range(degree)) and all(p[p[i]] == i for i in p)]
+    for pos in rng.sample(range(1, rank), rng.randint(0, 2)):
+        fits = [g for g in pool if all(g * h == h * g for i, h in
+                                       enumerate(gens) if abs(i - pos) > 1)]
+        derived = [g for g in gens + [a * b for a in gens for b in gens]
+                   if g in fits and g != gens[pos]]
+        gens[pos] = rng.choice(derived if derived and rng.random() < 0.5
+                               else fits)
+    return Sggi(gens, strict=False)
+
+
+@pytest.fixture(scope="module")
+def perturbed_simplices():
+    rng = random.Random(13)
+    return [perturbed_simplex(rng, rng.randint(5, 6)) for _ in range(24)]
 
 
 class TestMakeSggi:
@@ -256,6 +306,60 @@ class TestIntersectionProperty:
         s = mk(5, "(1,2)(3,4)", "(2,3)(4,5)")
         assert check_intersection_property(s, "naive").passed
         assert check_intersection_property(s, "recursive").passed
+
+
+class TestNaiveWiderPairs:
+    """The naive oracle, which skips a pair whose widest superpair holds,
+    against reference_naive, which meets every pair."""
+
+    @staticmethod
+    def _outcome(oracle, s):
+        try:
+            result = oracle(s)
+        except IPBudgetExceeded as exc:
+            return str(exc)
+        return result.passed, result.witness
+
+    def test_matches_reference_on_perturbed_simplices(self, perturbed_simplices):
+        verdicts = []
+        for s in perturbed_simplices:
+            got = check_intersection_property(s, "naive")
+            want = reference_naive(s)
+            assert (got.passed, got.witness) == (want.passed, want.witness), s
+            verdicts.append(got.passed)
+        assert 5 <= sum(verdicts) <= len(verdicts) - 5
+
+    @pytest.mark.parametrize("family_id", ["T4#5", "T8#5", "T8#6", "T8#7"])
+    def test_matches_reference_on_catalog(self, family_id):
+        from stringc.families import instantiate_family
+        from stringc.prgraph import graph_to_sggi
+
+        s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
+        lattice = SubsetLattice(s)
+        got = check_intersection_property(s, "naive", lattice=lattice)
+        want = reference_naive(s)
+        assert (got.passed, got.witness) == (want.passed, want.witness)
+        if got.passed:
+            # Every wider pair held, so only the pairs covering every index
+            # were met, each once.
+            full = (1 << s.rank) - 1
+            assert all(j | k == full for j, k in lattice._pair_orders)
+            assert len(lattice._pair_orders) == (
+                3**s.rank - 2**(s.rank + 1) + 1) // 2
+
+    @pytest.mark.parametrize("cap", [0, 2, 6, 12])
+    def test_budget_raises_match_reference(self, perturbed_simplices,
+                                           monkeypatch, cap):
+        # A wider pair over the cap must not count as holding: the pair
+        # is then met itself and raises, or not, as the reference does.
+        monkeypatch.setattr("stringc.sggi._ORBIT_CAP", cap)
+        raised = 0
+        for s in perturbed_simplices:
+            got = self._outcome(
+                lambda s: check_intersection_property(s, "naive"), s)
+            assert got == self._outcome(reference_naive, s), s
+            raised += isinstance(got, str)
+        assert raised > 0
 
 
 class TestIntersectionOrder:
