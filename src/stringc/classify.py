@@ -494,8 +494,15 @@ class SearchOutcome:
 
 
 class _AmbientModel:
-    """Index arithmetic for a small group: elements as 0..N-1, with the
-    full multiplication table."""
+    """Index arithmetic for a small group: elements as 0..N-1 in sorted
+    order, with the full multiplication table.
+
+    Only left multiplication by the group's generators composes
+    permutations (N·k products).  The rest of the table follows along a
+    breadth-first spanning tree of the Cayley graph: for a tree edge
+    b = s·p, b·x = s·(p·x), so row b of the table is row p mapped through
+    left multiplication by s.
+    """
 
     TABLE_LIMIT = 4096
 
@@ -511,10 +518,18 @@ class _AmbientModel:
         self.index = {g.images: i for i, g in enumerate(self.elements)}
         self.identity = self.index[tuple(range(group.degree))]
         self.order = len(self.elements)
-        self._table = [
-            [self.index[(a * b).images] for b in self.elements]
-            for a in self.elements
-        ]
+        left_by = [[self.index[(s * g).images] for g in self.elements]
+                   for s in group.generators]
+        table = [None] * self.order
+        table[self.identity] = list(range(self.order))
+        tree = [self.identity]
+        for p in tree:
+            for by_s in left_by:
+                b = by_s[p]
+                if table[b] is None:
+                    table[b] = list(map(by_s.__getitem__, table[p]))
+                    tree.append(b)
+        self._table = table
 
     def mul(self, a, b):
         return self._table[a][b]
@@ -522,41 +537,106 @@ class _AmbientModel:
     def involution_indices(self):
         return [i for i, g in enumerate(self.elements) if g.is_involution()]
 
-    def subgroup_closure(self, gens):
-        """Index set of the subgroup generated by the given element indices."""
+
+class _SubgroupLattice:
+    """The subgroups of an _AmbientModel met by one search, each numbered
+    the first time it is seen; number 0 is the trivial group.
+
+    Per subgroup it keeps its element set, its order, one generating
+    tuple, its joins with single elements (element -> number), the orders
+    of its meets with other subgroups, and, once square_cosets has run, its
+    image in G/Phi.  A join seen for the first time is built from H by
+    whole left cosets of H: starting from H, for each new coset
+    representative x and each generator s, s·x outside the set adds the
+    coset (s·x)H in one step.  The set then stays a union of left cosets of
+    H closed under left multiplication by every generator, which makes it
+    the subgroup.
+    """
+
+    def __init__(self, model):
+        self._table = model._table
+        self._identity = model.identity
+        trivial = frozenset((model.identity,))
+        self.elements = [trivial]
+        self.orders = [1]
+        self._gens = [()]
+        self._joins = [{}]
+        self._meets = [{}]
+        self._images = {}
+        self._numbers = {trivial: 0}
+        self._coset = None
+
+    def join(self, h, g):
+        """Number of <H, g>, for H numbered h and g an element index."""
+        row = self._joins[h]
+        k = row.get(g)
+        if k is None:
+            k = row[g] = self._close(h, g)
+        return k
+
+    def _close(self, h, g):
+        base = self.elements[h]
+        if g in base:
+            return h
         table = self._table
-        current = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                row = table[a]
-                for g in gens:
-                    b = row[g]
-                    if b not in current:
-                        current.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(current)
+        gens = self._gens[h] + (g,)
+        by = [table[s] for s in gens]
+        members = set(base)
+        reps = [self._identity]
+        for x in reps:
+            for row in by:
+                y = row[x]
+                if y not in members:
+                    members.update(map(table[y].__getitem__, base))
+                    reps.append(y)
+        members = frozenset(members)
+        k = self._numbers.get(members)
+        if k is None:
+            k = self._numbers[members] = len(self.elements)
+            self.elements.append(members)
+            self.orders.append(len(members))
+            self._gens.append(gens)
+            self._joins.append({})
+            self._meets.append({})
+        return k
+
+    def meet_order(self, a, b):
+        """|A meet B| for subgroups numbered a and b."""
+        memo = self._meets[a]
+        m = memo.get(b)
+        if m is None:
+            m = memo[b] = len(self.elements[a] & self.elements[b])
+        return m
 
     def square_cosets(self):
-        """Coset id of every element modulo Phi = <g^2 : g in G>, and the
-        number of cosets.
+        """Coset number of every element modulo Phi = <g^2 : g in G>, and
+        the number of cosets.
 
         Every index-2 subgroup contains Phi, and G/Phi is elementary
         abelian, so a set of elements lies in a common index-2 subgroup
         exactly when its image in G/Phi is a proper subgroup.
         """
-        phi = self.subgroup_closure(sorted({self.mul(i, i)
-                                            for i in range(self.order)}))
-        coset = [None] * self.order
+        table = self._table
+        phi = 0
+        for i, row in enumerate(table):
+            phi = self.join(phi, row[i])
+        coset = [None] * len(table)
         q = 0
-        for i in range(self.order):
+        for i, row in enumerate(table):
             if coset[i] is None:
-                for c in phi:
-                    coset[self.mul(i, c)] = q
+                for c in self.elements[phi]:
+                    coset[row[c]] = q
                 q += 1
+        self._coset = coset
         return coset, q
+
+    def image(self, h):
+        """The cosets of Phi that the subgroup numbered h meets."""
+        image = self._images.get(h)
+        if image is None:
+            image = self._images[h] = frozenset(
+                map(self._coset.__getitem__, self.elements[h]))
+        return image
 
 
 def exhaustive_search(
@@ -614,11 +694,14 @@ def exhaustive_search(
 def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     """DFS over element indices; returns accepted tuples (element indices).
 
-    A node holds one column of interval subgroups, column[a] = <g_a .. g_last>,
-    so column[0] is the subgroup the tuple generates.  A candidate g_d is
-    tested right to left over a = d-1 .. 0: first the interval condition
-    |<a..d-1> meet <a+1..d>| = |<a+1..d-1>| on [a, d], then the closure of
-    <a..d>, dropped unless its order divides the target.  By the recursion
+    A node holds one column of interval subgroups, column[a] = <g_a .. g_last>
+    as a number in a _SubgroupLattice that lives for this call, so column[0]
+    is the subgroup the tuple generates.  A candidate g_d is tested right to
+    left over a = d-1 .. 0: first the interval condition
+    |<a..d-1> meet <a+1..d>| = |<a+1..d-1>| on [a, d], then the join
+    <a..d> = <column[a], g_d>, dropped unless its order divides the target.
+    Both depend only on lattice numbers and g_d, so each join and meet is
+    computed once per search and looked up after that.  By the recursion
     of McMullen and Schulte, Abstract Regular Polytopes, Prop. 2E16, a tuple
     has the intersection property exactly when consecutive generators differ
     and every interval of length at least 3 meets this condition.  Intervals
@@ -640,9 +723,13 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
         commute.append(mask)
     first_mask = sum(1 << p for p in first_slice)
 
+    lattice = _SubgroupLattice(model)
+    elements, orders = lattice.elements, lattice.orders
+    join, meet_order = lattice.join, lattice.meet_order
+    cyclic = [join(0, g) for g in invs]
     coset = None
     if target * 2 == model.order:
-        coset, q = model.square_cosets()
+        coset, q = lattice.square_cosets()
 
     deadline = None if budget_sec is None else time.perf_counter() + budget_sec
     found = []
@@ -653,8 +740,8 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
         if deadline is not None and time.perf_counter() > deadline:
             completed[0] = False
             return
-        generated = column[0] if depth else (model.identity,)
-        if depth >= min_rank and len(generated) == target:
+        generated = column[0] if depth else 0
+        if depth >= min_rank and orders[generated] == target:
             if invs[tuple_pos[0]] <= invs[tuple_pos[-1]]:
                 # The reversed tuple generates the dual sggi; duality
                 # deduplication makes exploring both redundant.
@@ -666,11 +753,12 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             allowed &= commute[p]
         hyperplane = None
         if coset is not None:
-            image = {coset[h] for h in generated}
+            image = lattice.image(generated)
             if 2 * len(image) == q:
                 # A generator outside this hyperplane of G/Phi would leave
                 # no index-2 subgroup containing the whole tuple.
                 hyperplane = image
+        members = elements[generated]
         remaining_for_min = max(0, min_rank - depth - 1)
         mask = allowed
         while mask:
@@ -678,22 +766,21 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
             pos = low.bit_length() - 1
             mask ^= low
             gen = invs[pos]
-            if gen in generated:
+            if gen in members:
                 continue  # dependent candidates can never pass the IP
             if hyperplane is not None and coset[gen] not in hyperplane:
                 continue
-            new = column + [frozenset((model.identity, gen))]
+            new = column + [cyclic[pos]]
             for a in range(depth - 1, -1, -1):
-                # new[a + 1] is <a+1..depth>: <gen>, or the last closure.
-                if target % len(new[a + 1]):
+                # new[a + 1] is <a+1..depth>: <gen>, or the last join.
+                if target % orders[new[a + 1]]:
                     break
-                if (a < depth - 1
-                        and len(column[a] & new[a + 1]) != len(column[a + 1])):
+                if (a < depth - 1 and meet_order(column[a], new[a + 1])
+                        != orders[column[a + 1]]):
                     break
-                new[a] = model.subgroup_closure(
-                    [invs[p] for p in tuple_pos[a:]] + [gen])
+                new[a] = join(column[a], gen)
             else:
-                order = len(new[0])
+                order = orders[new[0]]
                 if target % order or order * (2**remaining_for_min) > target:
                     continue
                 tuple_pos.append(pos)
@@ -701,6 +788,9 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
                 tuple_pos.pop()
 
     dfs([], [])
+    # dfs refers to itself through its closure cell; dropping that reference
+    # frees the lattice and the results now instead of at a cyclic collection.
+    del dfs
     return found, completed[0]
 
 

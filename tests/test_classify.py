@@ -1,5 +1,7 @@
 """Signatures, verification reports and the exhaustive search."""
 
+import gc
+import hashlib
 import json
 import random
 import time
@@ -7,9 +9,12 @@ from itertools import permutations
 
 import pytest
 
-from stringc.ambients import named_ambient
+from stringc.ambients import AMBIENT_ORDERS, ambient_names, named_ambient
 from stringc.classify import (
+    _AmbientModel,
     _dedup,
+    _raw_search,
+    _SubgroupLattice,
     brute_force_search,
     catalog_instances,
     catalog_skips,
@@ -20,7 +25,7 @@ from stringc.classify import (
     verify_instance,
 )
 from stringc.families import family_catalog
-from stringc.perms import PermGroup, parse_perm
+from stringc.perms import PermGroup, brute_force_elements, parse_perm
 from stringc.sggi import Sggi, dual
 
 
@@ -379,6 +384,90 @@ class TestSearch:
         assert [
             [g.images for g in s.gens] for s, _ in serial.items
         ] == [[g.images for g in s.gens] for s, _ in parallel.items]
+
+
+class TestRawSearch:
+    @pytest.mark.parametrize("name, rank, count, digest", [
+        ("sym6-deg10", 5, 720,
+         "a6bc6e1b01542d0153dd7b04abac3bd9c2a346f01c4b30242585089fbef5c7de"),
+        ("c2wrS4-deg8", 4, 3072,
+         "e3c2e5dd3182b3ef26b897162aafd1eafcb401e76401cfabed0f9cebe936385f"),
+    ], ids=["sym6-deg10", "c2wrS4-deg8"])
+    def test_raw_tuples_and_order(self, name, rank, count, digest):
+        # Digests of the repr of the accepted tuples in DFS order, taken
+        # from the search that closed every interval from the identity: a
+        # lattice that finds other tuples, or visits them in another order,
+        # fails here.
+        model = _AmbientModel(named_ambient(name))
+        everywhere = range(len(model.involution_indices()))
+        found, completed = _raw_search(model, rank, rank, model.order, None,
+                                       everywhere)
+        assert completed and len(found) == count
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
+
+    def test_two_jobs_match_one(self):
+        ambient = named_ambient("c2wrS4-deg8")
+        serial, parallel = (exhaustive_search(ambient, 4, 4, jobs=jobs)
+                            for jobs in (1, 2))
+        assert (serial.merged_duplicates, len(serial.items)) == (3056, 16)
+        assert parallel.merged_duplicates == serial.merged_duplicates
+        assert [([g.images for g in s.gens], sig)
+                for s, sig in serial.items] == [
+            ([g.images for g in s.gens], sig) for s, sig in parallel.items]
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        ambient = named_ambient("sym5-deg6")
+        gc.collect()
+        gc.disable()
+        try:
+            exhaustive_search(ambient, 3, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestAmbientModel:
+    @pytest.mark.parametrize("name", [
+        name for name in ambient_names() if AMBIENT_ORDERS[name] <= 720])
+    def test_table_matches_permutation_products(self, name):
+        model = _AmbientModel(named_ambient(name))
+        index = {g.images: i for i, g in enumerate(model.elements)}
+        assert model.order == AMBIENT_ORDERS[name]
+        assert model._table == [
+            [index[(a * b).images] for b in model.elements]
+            for a in model.elements]
+
+
+class TestSubgroupLattice:
+    @pytest.mark.parametrize("name", ["sym5-deg6", "s3wrS2-deg6",
+                                      "c2wrS4-deg8"])
+    def test_coset_join_matches_closure(self, name):
+        ambient = named_ambient(name)
+        model = _AmbientModel(ambient)
+        lattice = _SubgroupLattice(model)
+        rng = random.Random(14)
+
+        def closure(gens):
+            return frozenset(
+                model.index[g.images] for g in brute_force_elements(
+                    [model.elements[i] for i in gens], ambient.degree))
+
+        for _ in range(40):
+            gens = rng.sample(range(model.order), rng.randint(0, 3))
+            h = 0
+            for g in gens:
+                h = lattice.join(h, g)
+            assert lattice.elements[h] == closure(gens)
+            inside = rng.choice(sorted(lattice.elements[h]))
+            assert lattice.join(h, inside) == h
+            g = rng.randrange(model.order)
+            k = lattice.join(h, g)
+            assert lattice.elements[k] == closure(gens + [g])
+            assert lattice.orders[k] == len(lattice.elements[k])
+        # A subgroup reached along another path keeps its first number.
+        numbers = {}
+        for k, members in enumerate(lattice.elements):
+            assert numbers.setdefault(members, k) == k
 
 
 class TestDedup:
