@@ -191,7 +191,11 @@ def verify_instance(family_id, params) -> VerificationReport:
         report.timing_ms = (time.perf_counter() - started) * 1000
         return report
 
-    group = PermGroup(list(s.gens), s.degree)
+    # The lattice extends its chains one generator at a time; the group's
+    # chain is its chain of every generator.
+    lattice = SubsetLattice(s)
+    full = (1 << s.rank) - 1
+    group = PermGroup(list(s.gens), s.degree, chain=lattice.chain(full))
     order = group.order()
     symbol = schlafli(s)
     report.order = order
@@ -200,7 +204,6 @@ def verify_instance(family_id, params) -> VerificationReport:
     _expect(report, "rank", s.rank == desc.rank_for(n),
             rank=s.rank, expected=desc.rank_for(n))
     _expect(report, "round_trip", sggi_to_graph(s) == graph)
-    lattice = SubsetLattice(s)
     _expect(report, "independent", is_independent(s, lattice=lattice))
 
     try:
@@ -252,7 +255,7 @@ def verify_instance(family_id, params) -> VerificationReport:
                 _schlafli_matches(tag, tuple(symbol)), schlafli=str(symbol))
 
     if expected.get("blocks") == "k2":
-        _verify_k2(report, desc, s, group, systems, n, build_params)
+        _verify_k2(report, desc, s, group, systems, n, build_params, lattice)
     elif expected.get("blocks") == "m2":
         _verify_m2(report, desc, s, group, n)
 
@@ -283,7 +286,7 @@ def _schlafli_matches(tag, symbol):
     raise ValueError(f"unknown schlafli tag {tag}")
 
 
-def _verify_k2(report, desc, s, group, systems, n, build_params):
+def _verify_k2(report, desc, s, group, systems, n, build_params, lattice):
     m = n // 2
     columns = _column_system(n)
     _expect(
@@ -316,11 +319,13 @@ def _verify_k2(report, desc, s, group, systems, n, build_params):
             C=len(dec.C), L=len(dec.L))
 
     if desc.table in ("T6", "T7"):
-        _verify_delta_calculus(report, desc, s, columns, m, build_params)
+        _verify_delta_calculus(report, desc, s, columns, m, build_params,
+                               lattice)
 
 
-def _verify_delta_calculus(report, desc, s, columns, m, build_params):
-    g0 = PermGroup(list(s.gens[1:]), s.degree)
+def _verify_delta_calculus(report, desc, s, columns, m, build_params, lattice):
+    full = (1 << s.rank) - 1
+    g0 = PermGroup(list(s.gens[1:]), s.degree, chain=lattice.chain(full & ~1))
     res0 = block_action(g0, columns)
     kclass0 = classify_kernel(res0, m)
     expected0 = "C2" if desc.table == "T6" else "C2^(m-1)"

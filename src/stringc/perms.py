@@ -11,7 +11,8 @@ action it has worked out (numbered cosets and the moves between them) for its
 whole life, so meets that share the chain do not descend it again.  A chain
 of <H, g> may be built by extending a complete chain of H: the new chain
 starts from H's levels and transversals and sifts only the Schreier
-generators that H's chain has not already settled.
+generators that H's chain has not already settled, each at most once per
+level.
 """
 
 from __future__ import annotations
@@ -256,9 +257,11 @@ class StabilizerChain:
         self._coset_levels = None
         # The coset action, memoised for the chain's life: canonical
         # representatives numbered in order of discovery (0 is this group's
-        # own coset), and per generator's images the number each coset moves
-        # to, -1 until the move is first taken.  Representatives are packed
-        # as array("I") bytes, under two thirds of an image tuple's memory.
+        # own coset), and per generator's images a step (images, move table,
+        # whether the generator is an involution), where the move table
+        # holds the number each coset moves to, -1 until the move is first
+        # taken.  Representatives are packed as array("I") bytes, under two
+        # thirds of an image tuple's memory.
         self._reps = []
         self._rep_number = {}
         self._moves = {}
@@ -322,7 +325,7 @@ class StabilizerChain:
         # sift to identity through the (already complete) deeper levels.
         # New residues restart verification at their home level.
         #
-        # Two kinds of Schreier generator t_a * g * t_(a^g)^-1 are skipped
+        # Three kinds of Schreier generator t_a * g * t_(a^g)^-1 are skipped
         # unsifted.  On a tree edge, t_(a^g) is t_a * g itself, so the
         # generator is the identity.  For a on the known transversal's orbit
         # and g among the known generators, t_a and t_(a^g) are the known
@@ -330,7 +333,13 @@ class StabilizerChain:
         # it lies in the group the deeper levels had then, which they still
         # contain, complete.  That holds for the chain extended (its levels
         # were complete) and for a level verified earlier in this build.
+        # Last, a generator already sifted in this build, from this level or
+        # a deeper one: its residue was the identity or was added as a
+        # generator, so it lies in the group of the levels past this one,
+        # which only grows.  A skipped generator would sift to the identity,
+        # so the chain is the one a build without these skips gives.
         identity = _IDENTITY[self.degree]
+        sifted = {}  # Schreier generator images -> deepest level sifted at
         i = start
         while i >= 0:
             lvl = self.levels[i]
@@ -347,9 +356,12 @@ class StabilizerChain:
                         continue
                     gen = gens_i[j].images
                     # t_a * g * t_(a^g)^-1, composed on images in one pass.
-                    residue = self._sift(tuple(map(
-                        lvl.inverse[gen[a]].images.__getitem__,
-                        map(gen.__getitem__, t.images))), i + 1)
+                    schreier = tuple(map(lvl.inverse[gen[a]].images.__getitem__,
+                                         map(gen.__getitem__, t.images)))
+                    if sifted.get(schreier, -1) >= i:
+                        continue
+                    sifted[schreier] = i
+                    residue = self._sift(schreier, i + 1)
                     if residue != identity:
                         residue = Permutation._raw(residue)
                         home = self._home_level(residue, i + 1)
@@ -385,7 +397,7 @@ class StabilizerChain:
             n *= len(lvl.transversal)
         return n
 
-    def coset_orbit_size(self, generators):
+    def coset_orbit_size(self, generators, bound=None):
         """Number of right cosets G*s of this group G, s in <generators>.
 
         They form the orbit of the coset G under right multiplication by
@@ -396,8 +408,18 @@ class StabilizerChain:
         base point (Holt, Eick and O'Brien, Handbook of Computational Group
         Theory, 2005, 4.6).  The search runs on coset numbers; a move
         (coset, generator) is descended once per chain and then looked up,
-        which is exact because G*x*g depends on the coset G*x alone.
+        which is exact because G*x*g depends on the coset G*x alone.  For an
+        involution g, G*x*g = G*y gives G*y*g = G*x, so each descent records
+        the reverse move too.
+
+        bound, if given, is an upper bound on the orbit's size that the
+        caller knows, such as |S| / |T| for a subgroup T of S meet G: the
+        search stops once it has found that many cosets, which proves the
+        orbit complete.  A search cut short records only true moves, so
+        later queries on the chain stay exact.
         """
+        if bound == 1:
+            return 1
         if self._coset_levels is None:
             # Per level: the images of x on the orbit, the base point, and
             # the products t_a * x; itemgetters keep the descent in C.
@@ -411,21 +433,26 @@ class StabilizerChain:
         reps, moves = self._reps, self._moves
         steps = []
         for g in generators:
-            move = moves.get(g.images)
-            if move is None:
-                move = moves[g.images] = array("i", [-1]) * len(reps)
-            steps.append((g.images, move))
+            step = moves.get(g.images)
+            if step is None:
+                step = moves[g.images] = (
+                    g.images, array("i", [-1]) * len(reps), g.is_involution())
+            steps.append(step)
         seen = {0}
         frontier = [0]
         while frontier:
             found = []
             for x in frontier:
-                for g, move in steps:
+                for g, move, involution in steps:
                     y = move[x]
                     if y < 0:
                         y = move[x] = self._number(
                             tuple(map(g.__getitem__, array("I", reps[x]))))
+                        if involution:
+                            move[y] = x
                     if y not in seen:
+                        if len(seen) + 1 == bound:
+                            return bound
                         seen.add(y)
                         found.append(y)
             frontier = found
@@ -442,7 +469,7 @@ class StabilizerChain:
         number = self._rep_number.setdefault(rep, len(self._reps))
         if number == len(self._reps):
             self._reps.append(rep)
-            for move in self._moves.values():
+            for _, move, _ in self._moves.values():
                 move.append(-1)
         return number
 
@@ -450,10 +477,11 @@ class StabilizerChain:
 class PermGroup:
     """Group generated by a list of Permutations, with a lazy chain.
 
-    The chain is built at most once, on first use.
+    The chain is built at most once, on first use, unless the caller passes
+    a complete chain of the group that it has already built.
     """
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, chain=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -464,7 +492,7 @@ class PermGroup:
                 raise PermError("generators have mixed degrees")
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
-        self._chain = None
+        self._chain = chain
 
     @property
     def chain(self):

@@ -212,8 +212,10 @@ class SubsetLattice:
         """|<J> meet <K>| = |S| / |orbit of L among its right cosets under S|.
 
         S is the smaller of the two subgroups and L the larger.  The orbit
-        has at most |S| / |<J & K>| cosets; past _ORBIT_CAP this raises
-        IPBudgetExceeded instead.
+        has |S| / |S meet L| cosets, and <J & K> <= S meet L, so it has at
+        most bound = |S| / |<J & K>|: past _ORBIT_CAP this raises
+        IPBudgetExceeded instead, and otherwise the orbit search stops once
+        it has found bound cosets, which proves the meet is <J & K>.
         """
         key = (min(mask_j, mask_k), max(mask_j, mask_k))
         if key not in self._pair_orders:
@@ -225,7 +227,7 @@ class SubsetLattice:
                     f"{self.order(large)} may need {bound} cosets, over the "
                     f"cap of {_ORBIT_CAP}"
                 )
-            orbit = self.chain(large).coset_orbit_size(self.gens(small))
+            orbit = self.chain(large).coset_orbit_size(self.gens(small), bound)
             self._pair_orders[key] = self.order(small) // orbit
         return self._pair_orders[key]
 
@@ -253,10 +255,24 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
     failure (the witness) or budget raise, is the one the direct meet
     gives.  The distinct meets shrink to the pairs with J | K covering
     every index, (3^r - 2^(r+1) + 1) / 2 of them, plus the pairs whose
-    wider pair did not hold.
+    wider pair did not hold.  Each widest pair's verdict is kept as one
+    boolean, so the pairs below it are decided without another meet call.
     """
     lattice = lattice or SubsetLattice(s)
     full = (1 << s.rank) - 1
+    verdicts = {}  # widest pair as (lower, higher) mask -> known to hold
+
+    def widest_holds(mask_a, mask_b):
+        key = (min(mask_a, mask_b), max(mask_a, mask_b))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            try:
+                verdict = _pair_holds(lattice, mask_a, mask_b)
+            except IPBudgetExceeded:
+                verdict = False  # not known to hold: meet each pair itself
+            verdicts[key] = verdict
+        return verdict
+
     # A pair fails exactly when its mirror does, and the mirror of (j, k)
     # with j > k comes earlier in the ordered scan, so the unordered pairs
     # give the same first witness.
@@ -266,12 +282,8 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             if meet in (mask_j, mask_k):
                 continue  # one side contains the other: holds trivially
             rest = full & ~(mask_j | mask_k)
-            if rest:
-                try:
-                    if _pair_holds(lattice, mask_j | rest, mask_k):
-                        continue
-                except IPBudgetExceeded:
-                    pass  # not known to hold: meet the pair itself
+            if widest_holds(mask_j | rest, mask_k):
+                continue
             if not _pair_holds(lattice, mask_j, mask_k):
                 to_set = lambda m: frozenset(
                     i for i in range(s.rank) if m >> i & 1

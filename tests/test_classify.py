@@ -25,7 +25,12 @@ from stringc.classify import (
     verify_instance,
 )
 from stringc.families import family_catalog
-from stringc.perms import PermGroup, brute_force_elements, parse_perm
+from stringc.perms import (
+    PermGroup,
+    StabilizerChain,
+    brute_force_elements,
+    parse_perm,
+)
 from stringc.sggi import Sggi, dual
 
 
@@ -177,6 +182,30 @@ class TestVerifyInstance:
         assert rep7.checks["intersection_property"]["evidence"]["witness"] == [
             [1, 2, 3], [2, 3, 4],
         ]
+        # The naive oracle's first failing pair in increasing-bitmask order.
+        naive = [rep.checks["naive_oracle"] for rep in (rep5, rep6, rep7)]
+        assert [check["status"] for check in naive] == ["fail"] * 3
+        assert [check["evidence"]["witness"] for check in naive] == [
+            [[0, 1], [1, 2, 3]], [[0], [2, 3, 4]], [[0, 1], [3, 4]],
+        ]
+
+    def test_group_chains_come_from_the_lattice(self, monkeypatch):
+        # The group and g0 take their chains from the subset lattice, which
+        # extends them one generator at a time; only the lattice's chains of
+        # single generators are built from scratch on the instance's points.
+        scratch = []
+        init = StabilizerChain.__init__
+
+        def counting_init(self, generators, degree, extends=None):
+            generators = list(generators)
+            if extends is None and degree == 14 and len(generators) > 1:
+                scratch.append(len(generators))
+            init(self, generators, degree, extends)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        rep = verify_instance("T7#27", {"n": 14, "x": 1})
+        assert rep.passed and "kernel_g0" in rep.checks
+        assert scratch == []
 
 
     def test_skipped_ip_is_undecided(self, monkeypatch):

@@ -25,6 +25,15 @@ def grp(degree, *cycle_strings):
     return PermGroup([parse_perm(s, degree) for s in cycle_strings], degree)
 
 
+def random_involution(rng, n):
+    """A product of one to n // 2 random disjoint transpositions."""
+    images = list(range(n))
+    points = rng.sample(images, 2 * rng.randint(1, n // 2))
+    for a, b in zip(points[::2], points[1::2]):
+        images[a], images[b] = b, a
+    return Permutation(images)
+
+
 def random_perm(rng, n):
     """A random permutation of a random set of 2..n points, so that the
     groups such permutations generate range from cyclic to Sym(n)."""
@@ -146,6 +155,30 @@ class TestOrder:
             if not gens:
                 continue
             assert PermGroup(gens, n).order() == brute_force_order(gens, n)
+
+    def test_no_schreier_generator_sifted_twice_in_a_build(self, monkeypatch):
+        # A Schreier generator sifted once in a build lies in the deeper
+        # levels' group from then on, so a build sifts it at most once per
+        # level, also when a new residue sends it back to a level.
+        sifts = []
+        sift = StabilizerChain._sift
+
+        def recording_sift(self, images, start):
+            sifts.append((start, images))
+            return sift(self, images, start)
+
+        monkeypatch.setattr(StabilizerChain, "_sift", recording_sift)
+        rng = random.Random(71)
+        total = 0
+        for _ in range(12):
+            n = rng.randint(6, 9)
+            gens = [random_involution(rng, n) for _ in range(rng.randint(2, 4))]
+            sifts.clear()
+            chain = StabilizerChain(gens, n)
+            assert len(set(sifts)) == len(sifts)
+            assert chain.order() == brute_force_order(gens, n)
+            total += len(sifts)
+        assert total > 100
 
 
 class TestMembership:
@@ -333,6 +366,53 @@ class TestCosetOrbit:
                 assert orbit == len(s_elements) // len(s_elements & g_elements)
                 sizes.add(orbit)
         assert len(sizes) > 10
+
+    def test_pools_mixing_involutions(self):
+        # Involutions record each move both ways; a non-involution must not.
+        # One chain is asked about subgroups of a pool of both kinds in a
+        # random order, so later queries read moves that earlier ones
+        # recorded, reverse moves among them.
+        rng = random.Random(43)
+        for _ in range(12):
+            n = rng.randint(5, 7)
+            pool = [random_involution(rng, n) for _ in range(3)]
+            pool += [random_perm(rng, n) for _ in range(3)]
+            g_gens = rng.sample(pool, 2)
+            g_elements = brute_force_elements(g_gens, n)
+            chain = StabilizerChain(g_gens, n)
+            queries = [[a] for a in pool] + [
+                [pool[i], pool[j]] for i in range(6) for j in range(6) if i != j
+            ]
+            rng.shuffle(queries)
+            for s_gens in queries:
+                s_elements = brute_force_elements(s_gens, n)
+                orbit = chain.coset_orbit_size(s_gens)
+                assert orbit == len(s_elements) // len(s_elements & g_elements)
+
+    def test_bounded_query_leaves_memo_exact(self):
+        # A query stopped at its bound leaves its search part done; the moves
+        # it recorded must still give exact orbits to unbounded queries.
+        rng = random.Random(47)
+        stopped = 0
+        for _ in range(20):
+            n = rng.randint(5, 7)
+            pool = [random_involution(rng, n) for _ in range(2)]
+            pool += [random_perm(rng, n) for _ in range(2)]
+            g_elements = brute_force_elements(pool[3:], n)
+            chain = StabilizerChain(pool[3:], n)
+
+            def orbit_of(s_gens):
+                s_elements = brute_force_elements(s_gens, n)
+                return len(s_elements) // len(s_elements & g_elements)
+
+            first = pool[:3]
+            if orbit_of(first) > 2:
+                assert chain.coset_orbit_size(first, 2) == 2
+                stopped += 1
+            assert chain.coset_orbit_size(first, 1) == 1
+            for s_gens in [first, pool, pool[:2], pool[2:]]:
+                assert chain.coset_orbit_size(s_gens) == orbit_of(s_gens)
+        assert stopped > 10
 
     def test_subgroup_fixes_its_coset(self):
         chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
