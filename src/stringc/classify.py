@@ -507,6 +507,10 @@ class _AmbientModel:
     breadth-first spanning tree of the Cayley graph: for a tree edge
     b = s·p, b·x = s·(p·x), so row b of the table is row p mapped through
     left multiplication by s.
+
+    A pickled model carries only the ambient's generators and degree, and
+    is rebuilt where it is unpickled: a pickled table would come back with
+    every entry above 256 as an int object of its own.
     """
 
     TABLE_LIMIT = 4096
@@ -518,6 +522,7 @@ class _AmbientModel:
                 f"ambient of order {order} exceeds the search limit "
                 f"{self.TABLE_LIMIT}"
             )
+        self._ambient = (group.generators, group.degree)
         self.elements = sorted(brute_force_elements(group.generators,
                                                     group.degree))
         self.index = {g.images: i for i, g in enumerate(self.elements)}
@@ -535,6 +540,9 @@ class _AmbientModel:
                     table[b] = list(map(by_s.__getitem__, table[p]))
                     tree.append(b)
         self._table = table
+
+    def __reduce__(self):
+        return _AmbientModel, (PermGroup(*self._ambient),)
 
     def mul(self, a, b):
         return self._table[a][b]

@@ -152,9 +152,6 @@ class Permutation:
         """Sorted tuple of nontrivial cycle lengths."""
         return tuple(sorted(len(c) for c in self.cycles()))
 
-    def is_even(self):
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -700,11 +697,6 @@ def brute_force_elements(generators, degree, limit=10**6):
     return elements
 
 
-def brute_force_order(generators, degree, limit=10**6):
-    """Order by plain closure; independent of the stabilizer chain."""
-    return len(brute_force_elements(generators, degree, limit))
-
-
 __all__ = [
     "Permutation",
     "PermGroup",
@@ -713,5 +705,4 @@ __all__ = [
     "PermError",
     "parse_perm",
     "brute_force_elements",
-    "brute_force_order",
 ]

@@ -2,9 +2,11 @@
 
 An sggi is an ordered list of involutions where generators at non-adjacent
 string positions commute.  This module validates them, computes Schlafli
-symbols, checks independence and the intersection property (naive oracle over
-all subset pairs, every pair decided, most by a wider pair; and the standard
-recursive criterion over intervals), and forms duals and parabolic subgroups.
+symbols, checks independence and the intersection property, and forms duals.
+The intersection property has two checks: a naive oracle that decides every
+pair of generator subsets, most from a widest pair, and most widest pairs by a
+narrow meet inside a holding superpair; and the standard recursive criterion
+over intervals.
 """
 
 from __future__ import annotations
@@ -111,16 +113,6 @@ def dual(s: Sggi) -> Sggi:
     return Sggi(s.gens[::-1], strict=False)
 
 
-def parabolic(s: Sggi, keep) -> Sggi:
-    """Sub-sggi of the kept generator indices, in induced string order."""
-    indices = sorted(set(keep))
-    if not indices:
-        raise SggiError("parabolic requires a nonempty index set")
-    if indices[0] < 0 or indices[-1] >= s.rank:
-        raise SggiError("parabolic index out of range")
-    return Sggi([s.gens[i] for i in indices], strict=False)
-
-
 def is_independent(s: Sggi, lattice=None) -> bool:
     """No generator lies in the subgroup generated by the others.
 
@@ -208,6 +200,12 @@ class SubsetLattice:
             )
         return self._elsets[mask]
 
+    def orbit_bound(self, mask_j, mask_k):
+        """min(|<J>|, |<K>|) / |<J & K>|, the most cosets the meet's orbit
+        can have."""
+        return min(self.order(mask_j), self.order(mask_k)) // self.order(
+            mask_j & mask_k)
+
     def intersection_order(self, mask_j, mask_k):
         """|<J> meet <K>| = |S| / |orbit of L among its right cosets under S|.
 
@@ -220,7 +218,7 @@ class SubsetLattice:
         key = (min(mask_j, mask_k), max(mask_j, mask_k))
         if key not in self._pair_orders:
             small, large = sorted((mask_j, mask_k), key=self.order)
-            bound = self.order(small) // self.order(mask_j & mask_k)
+            bound = self.orbit_bound(mask_j, mask_k)
             if bound > _ORBIT_CAP:
                 raise IPBudgetExceeded(
                     f"meet of subgroups of orders {self.order(small)} and "
@@ -242,36 +240,83 @@ def _pair_holds(lattice, mask_j, mask_k):
         mask_j & mask_k)
 
 
+def _widest_holds(lattice, verdicts, mask_a, mask_b):
+    """Whether the widest pair (A, B) is known to hold: it holds and its
+    own orbit bound is within _ORBIT_CAP.
+
+    verdicts maps each widest pair decided so far, as (lower, higher)
+    mask, to that boolean.  A pair is decided after its superpair, so the
+    superpairs not yet in verdicts are walked up first, then decided on
+    the way back down, with no recursion.
+    """
+    pending = []  # (widest pair, narrow pair met if its superpair holds)
+    key = pair = (min(mask_a, mask_b), max(mask_a, mask_b))
+    while pair not in verdicts:
+        mask_a, mask_b = pair
+        meet = mask_a & mask_b
+        only_a, only_b = mask_a & ~mask_b, mask_b & ~mask_a
+        if only_a & (only_a - 1):  # |A - B| >= 2: widen B by A's lowest
+            i = only_a & -only_a
+            wider, narrow = (mask_a, mask_b | i), (meet | i, mask_b)
+        elif only_b & (only_b - 1):  # |B - A| >= 2: widen A by B's lowest
+            i = only_b & -only_b
+            wider, narrow = (mask_a | i, mask_b), (mask_a, meet | i)
+        else:
+            pending.append((pair, None))  # a base pair
+            break
+        pending.append((pair, narrow))
+        pair = (min(wider), max(wider))
+    held = verdicts.get(pair, False)  # the verdict of the last superpair
+    for pair, narrow in reversed(pending):
+        if narrow and held and lattice.orbit_bound(*pair) <= _ORBIT_CAP:
+            held = _pair_holds(lattice, *narrow)
+        else:
+            try:
+                held = _pair_holds(lattice, *pair)
+            except IPBudgetExceeded:
+                held = False  # not known to hold: meet each pair itself
+        verdicts[pair] = held
+    return verdicts[key]
+
+
 def _check_naive(s: Sggi, lattice=None) -> IPResult:
     """Every non-nested pair (J, K) in increasing-bitmask order; most are
-    decided by their widest superpair.
+    decided by their widest superpair, and most widest pairs by a narrow
+    meet inside a holding superpair.
 
-    With rest the indices in neither J nor K and J' = J | rest, J' & K =
-    J & K, so <J & K> <= <J> meet <K> <= <J'> meet <K> = <J & K> whenever
-    (J', K) holds: the pair holds too.  Its orbit bound min(|<J>|, |<K>|) /
-    |<J & K>| is at most that of (J', K), so a wider pair inside the cap
-    also puts the pair inside it.  Only when (J', K) fails or is over the
-    cap is the pair met itself, so each pair's outcome, and the first
-    failure (the witness) or budget raise, is the one the direct meet
-    gives.  The distinct meets shrink to the pairs with J | K covering
-    every index, (3^r - 2^(r+1) + 1) / 2 of them, plus the pairs whose
-    wider pair did not hold.  Each widest pair's verdict is kept as one
-    boolean, so the pairs below it are decided without another meet call.
+    Pairs from widest pairs.  With rest the indices in neither J nor K and
+    J' = J | rest, J' & K = J & K, so <J & K> <= <J> meet <K> <= <J'> meet
+    <K> = <J & K> whenever (J', K) holds: the pair holds too.  Its orbit
+    bound min(|<J>|, |<K>|) / |<J & K>| is at most that of (J', K), so a
+    wider pair inside the cap also puts the pair inside it.  Only when
+    (J', K) fails or is over the cap is the pair met itself, so each pair's
+    outcome, and the first failure (the witness) or budget raise, is the
+    one the direct meet gives.
+
+    Widest pairs from superpairs.  A widest pair (A, B) has A | B covering
+    every index and neither side containing the other.  Say |B - A| >= 2
+    (otherwise swap the names) and take i in B - A; _widest_holds takes
+    the lowest such i, from the lower mask when it has two.  Then
+    (A + i, B) is a widest pair too, and (A + i) & B = (A & B) + i.  If
+    (A + i, B) holds, then, in any group, since <A> <= <A + i>,
+
+        <A> meet <B> = <A> meet (<A + i> meet <B>) = <A> meet <(A & B) + i>,
+
+    and A & ((A & B) + i) = A & B as i is not in A.  So (A, B) holds
+    exactly when the narrow pair (A, (A & B) + i) does.  The narrow pair's
+    orbit bound is at most |<(A & B) + i>| / |<A & B>|, and never exceeds
+    the widest pair's own bound min(|<A>|, |<B>|) / |<A & B>|; a widest
+    pair counts as holding only when its own bound is within the cap, so
+    the narrow meet cannot raise, and every pair below raises exactly when
+    its direct meet would.  A widest pair whose superpair is not known to
+    hold is met at full width, as are the r(r-1)/2 base pairs (every index
+    but b, every index but a), which have no superpair.  Neither step uses
+    the commuting property or the interval reduction, so the oracle stays
+    independent of the recursive check.
     """
     lattice = lattice or SubsetLattice(s)
     full = (1 << s.rank) - 1
-    verdicts = {}  # widest pair as (lower, higher) mask -> known to hold
-
-    def widest_holds(mask_a, mask_b):
-        key = (min(mask_a, mask_b), max(mask_a, mask_b))
-        verdict = verdicts.get(key)
-        if verdict is None:
-            try:
-                verdict = _pair_holds(lattice, mask_a, mask_b)
-            except IPBudgetExceeded:
-                verdict = False  # not known to hold: meet each pair itself
-            verdicts[key] = verdict
-        return verdict
+    verdicts = {}
 
     # A pair fails exactly when its mirror does, and the mirror of (j, k)
     # with j > k comes earlier in the ordered scan, so the unordered pairs
@@ -281,8 +326,14 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             meet = mask_j & mask_k
             if meet in (mask_j, mask_k):
                 continue  # one side contains the other: holds trivially
-            rest = full & ~(mask_j | mask_k)
-            if widest_holds(mask_j | rest, mask_k):
+            wide = mask_j | (full & ~(mask_j | mask_k))  # J | rest
+            # Looked up here first: all but the first pair below a widest
+            # pair find its verdict already kept.
+            held = verdicts.get(
+                (wide, mask_k) if wide < mask_k else (mask_k, wide))
+            if held is None:
+                held = _widest_holds(lattice, verdicts, wide, mask_k)
+            if held:
                 continue
             if not _pair_holds(lattice, mask_j, mask_k):
                 to_set = lambda m: frozenset(
@@ -332,8 +383,9 @@ def check_intersection_property(s: Sggi, mode="recursive", lattice=None) -> IPRe
     """Decide whether the sggi is a string C-group.
 
     naive mode is the ground-truth oracle over every pair of generator
-    subsets, every pair decided, most by a wider pair (order equality
-    suffices since containment always holds);
+    subsets, every pair decided, most by a wider pair and most of those by
+    a narrow meet inside a superpair (order equality suffices since
+    containment always holds);
     recursive mode applies the standard interval reduction.  Both return a
     witness pair of index sets on failure; the naive witness is the first
     failing pair in increasing-bitmask order.  A SubsetLattice may be shared
@@ -355,7 +407,6 @@ __all__ = [
     "IPBudgetExceeded",
     "schlafli",
     "dual",
-    "parabolic",
     "is_independent",
     "check_intersection_property",
 ]

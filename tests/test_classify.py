@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import random
 import time
 from itertools import permutations
@@ -465,6 +466,17 @@ class TestAmbientModel:
         assert model._table == [
             [index[(a * b).images] for b in model.elements]
             for a in model.elements]
+
+    def test_pickle_rebuilds_the_same_model(self):
+        # Pool workers get the model by pickle, which rebuilds it from the
+        # ambient's generators.
+        model = _AmbientModel(named_ambient("c2wrS3-deg6"))
+        data = pickle.dumps(model)
+        assert len(data) < 1000
+        copy = pickle.loads(data)
+        assert copy.elements == model.elements
+        assert copy._table == model._table
+        assert copy.identity == model.identity
 
 
 class TestSubgroupLattice:

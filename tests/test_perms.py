@@ -15,7 +15,6 @@ from stringc.perms import (
     Permutation,
     StabilizerChain,
     brute_force_elements,
-    brute_force_order,
     intersection_order_bounded,
     parse_perm,
 )
@@ -23,6 +22,11 @@ from stringc.perms import (
 
 def grp(degree, *cycle_strings):
     return PermGroup([parse_perm(s, degree) for s in cycle_strings], degree)
+
+
+def brute_force_order(generators, degree):
+    """Order by plain closure; independent of the stabilizer chain."""
+    return len(brute_force_elements(generators, degree))
 
 
 def random_involution(rng, n):
@@ -104,10 +108,6 @@ class TestPermutationAlgebra:
         assert c.order() == 5
         assert (c**5).is_identity()
         assert c**-1 == c.inverse()
-
-    def test_parity(self):
-        assert not parse_perm("(1,2)", 4).is_even()
-        assert parse_perm("(1,2,3)", 4).is_even()
 
     def test_pickle_round_trip(self):
         # Search work items carry permutations to worker processes.
@@ -200,7 +200,7 @@ class TestMembership:
         while True:
             rng.shuffle(images)
             p = Permutation(images)
-            if not p.is_even():
+            if sum(len(c) - 1 for c in p.cycles()) % 2:  # odd
                 break
         assert p not in a5
 

@@ -1,19 +1,23 @@
 """Sggi validation, Schlafli symbols, duality and intersection checks."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringc.ambients import named_ambient
+from stringc.families import instantiate_family
 from stringc.perms import (
     PermGroup,
     Permutation,
     brute_force_elements,
     parse_perm,
 )
+from stringc.prgraph import graph_to_sggi
 from stringc.sggi import (
     IPBudgetExceeded,
     IPResult,
@@ -24,7 +28,6 @@ from stringc.sggi import (
     check_intersection_property,
     dual,
     is_independent,
-    parabolic,
     schlafli,
 )
 
@@ -195,31 +198,6 @@ class TestDual:
         assert schlafli(dual(s)) == schlafli(s)
 
 
-class TestParabolic:
-    def test_drop_first_generator(self):
-        s = simplex(5)
-        p = parabolic(s, {1, 2, 3})
-        assert p.rank == 3
-        assert PermGroup(list(p.gens), 5).order() == 24
-
-    def test_interval(self):
-        s = simplex(5)
-        p = parabolic(s, {0, 1, 2})
-        assert PermGroup(list(p.gens), 5).order() == 24
-
-    def test_empty_rejected(self):
-        with pytest.raises(SggiError):
-            parabolic(simplex(5), [])
-
-    def test_single_generator_of_catalog_instance(self):
-        from stringc.families import instantiate_family
-        from stringc.prgraph import graph_to_sggi
-
-        s = graph_to_sggi(instantiate_family("T6#17", {"n": 16, "i": 3}))
-        p = parabolic(s, [0])
-        assert PermGroup(list(p.gens), 16).order() == 2
-
-
 class TestIndependence:
     def test_simplex_independent(self):
         assert is_independent(simplex(4))
@@ -331,21 +309,30 @@ class TestNaiveWiderPairs:
 
     @pytest.mark.parametrize("family_id", ["T4#5", "T8#5", "T8#6", "T8#7"])
     def test_matches_reference_on_catalog(self, family_id):
-        from stringc.families import instantiate_family
-        from stringc.prgraph import graph_to_sggi
-
         s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
         lattice = SubsetLattice(s)
         got = check_intersection_property(s, "naive", lattice=lattice)
         want = reference_naive(s)
         assert (got.passed, got.witness) == (want.passed, want.witness)
         if got.passed:
-            # Every wider pair held, so only the pairs covering every index
-            # were met, each once.
+            # Every superpair held, so the only pairs met at full width are
+            # the base pairs (every index but b, every index but a), and
+            # every other meet is a narrow pair (A, (A & B) + i) of a
+            # widest pair (A, B) with i in B - A and |B - A| >= 2.
             full = (1 << s.rank) - 1
-            assert all(j | k == full for j, k in lattice._pair_orders)
-            assert len(lattice._pair_orders) == (
-                3**s.rank - 2**(s.rank + 1) + 1) // 2
+            met = {frozenset(pair) for pair in lattice._pair_orders}
+            base = {frozenset((full & ~(1 << a), full & ~(1 << b)))
+                    for a, b in itertools.combinations(range(s.rank), 2)}
+            assert {p for p in met if min(p) | max(p) == full} == base
+            assert len(base) == s.rank * (s.rank - 1) // 2
+            narrow = {
+                frozenset((a, (a & b) | 1 << i))
+                for a in range(full + 1) for b in range(full + 1)
+                if a | b == full and a & ~b and b & ~a
+                and bin(b & ~a).count("1") >= 2
+                for i in range(s.rank) if (b & ~a) >> i & 1
+            }
+            assert met - base <= narrow
 
     @pytest.mark.parametrize("cap", [0, 2, 6, 12])
     def test_budget_raises_match_reference(self, perturbed_simplices,
@@ -360,6 +347,46 @@ class TestNaiveWiderPairs:
             assert got == self._outcome(reference_naive, s), s
             raised += isinstance(got, str)
         assert raised > 0
+
+    @pytest.mark.parametrize("family_id", ["T4#5", "T8#5"])
+    def test_lattice_freed_without_collector(self, family_id):
+        # The oracle must leave no reference cycle through the lattice: a
+        # lattice kept until the collector runs raises the peak memory of
+        # a verify sweep.
+        s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lattice = SubsetLattice(s)
+            ref = weakref.ref(lattice)
+            check_intersection_property(s, "naive", lattice=lattice)
+            del lattice
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    # One instance of each rank-8 table at n = 16, a failing one included,
+    # and REP2N#1, whose n is that of Sym_n on 2n = 16 points.
+    @pytest.mark.parametrize("family_id, params", [
+        ("T5#13", {"n": 16}),
+        ("T6#17", {"n": 16, "i": 2}),
+        ("T8#4", {"n": 16, "i": 2}),
+        ("T8#5", {"n": 16}),
+        ("P61#1", {"n": 16}),
+        ("REP2N#1", {"n": 8}),
+    ], ids=["T5#13", "T6#17-i2", "T8#4-i2", "T8#5", "P61#1", "REP2N#1"])
+    def test_agrees_with_recursive_at_degree_16(self, family_id, params):
+        s = graph_to_sggi(instantiate_family(family_id, params))
+        assert s.degree == 16
+        lattice = SubsetLattice(s)
+        recursive = check_intersection_property(s, "recursive", lattice=lattice)
+        naive = check_intersection_property(s, "naive", lattice=lattice)
+        assert naive.passed == recursive.passed
+        assert naive.passed == (family_id != "T8#5")
+        if naive.witness is not None:
+            j, k = (sum(1 << i for i in side) for side in naive.witness)
+            assert lattice.intersection_order(j, k) != lattice.order(j & k)
 
 
 class TestIntersectionOrder:
