@@ -32,7 +32,12 @@ from .analysis import (
     lcr_decompose,
     table3_cell,
 )
-from .families import descriptor, family_catalog, duality_partner
+from .families import (
+    catalog_instances,
+    catalog_skips,
+    descriptor,
+    duality_partner,
+)
 from .perms import BlockSystem, PermGroup, Permutation, brute_force_elements
 from .prgraph import graph_to_sggi, involution_form, is_connected, sggi_to_graph
 from .sggi import (
@@ -422,31 +427,6 @@ def _verify_m2(report, desc, s, group, n):
 # ---------------------------------------------------------------------------
 # Catalog sweep.
 # ---------------------------------------------------------------------------
-
-
-def _catalog(n):
-    """(descriptor, its own n, why it has no instance on n points or None)
-    per family, in catalog order.  REP2N#k is Sym_n on 2n points, so its
-    own n is n/2."""
-    for desc in family_catalog():
-        if desc.table != "REP2N":
-            yield desc, n, desc.domain_error(n)
-        elif n % 2:
-            yield desc, None, f"acts on 2n points, requires even degree, got {n}"
-        else:
-            yield desc, n // 2, desc.domain_error(n // 2)
-
-
-def catalog_instances(n):
-    """(family_id, params) pairs admissible on n points."""
-    return [(desc.id, {"n": m, **params}) for desc, m, reason in _catalog(n)
-            if not reason for params in desc.param_sweep(m)]
-
-
-def catalog_skips(n):
-    """(family_id, reason) for every family with no instance on n points,
-    in catalog order."""
-    return [(desc.id, reason) for desc, _, reason in _catalog(n) if reason]
 
 
 def _workers(jobs, items):

@@ -68,6 +68,7 @@ def _cmd_instantiate(args, out):
 
 
 def _cmd_catalog(args, out):
+    skipped = {fid for fid, _ in catalog_skips(14)}
     rows = []
     for desc in family_catalog():
         rows.append(
@@ -75,7 +76,8 @@ def _cmd_catalog(args, out):
                 "id": desc.id,
                 "case": desc.case_tags,
                 "params": [p.name for p in desc.params],
-                "rank_at_n14": _rank_at_14(desc),
+                "rank_at_n14": None if desc.id in skipped
+                else desc.rank_for(14 // desc.points_per_n),
             }
         )
     if args.format == "json":
@@ -92,12 +94,6 @@ def _cmd_catalog(args, out):
             f"duality (duality_partner marks SELF/partner/unlisted)\n"
         )
     return 0
-
-
-def _rank_at_14(desc):
-    if desc.table == "REP2N":
-        return desc.rank_for(7)
-    return None if desc.domain_error(14) else desc.rank_for(14)
 
 
 def _cmd_schlafli(args, out):

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .prgraph import PRGraph, canonical_form, graph_to_sggi, involution_form
+from .prgraph import PRGraph, canonical_form, involution_form
 
-# Unused here, but bench/tracing.py patches stringc.families by this name.
-from .prgraph import sggi_to_graph  # noqa: F401
+# Unused here, but bench/tracing.py patches stringc.families by these names.
+from .prgraph import graph_to_sggi, sggi_to_graph  # noqa: F401
 
 
 class FamilyDomainError(ValueError):
@@ -71,8 +71,8 @@ class FamilyDescriptor:
     params: tuple
     build: object  # callable: (n, params) -> PRGraph
     rank_for: object  # callable: n -> rank
-    degree_for: object  # callable: n -> number of vertices
     domain_error: object  # callable: n -> error message or None
+    points_per_n: int = 1  # the graph at n has points_per_n * n vertices
     expected: dict = field(default_factory=dict)
 
     @property
@@ -710,14 +710,6 @@ def _table_rank_plus1(n):
     return n // 2 + 1
 
 
-def _same(n):
-    return n
-
-
-def _double(n):
-    return 2 * n
-
-
 _T4_TAGS_INTR = "|RuC|=2; <L>=Sym(n/2); <L> intransitive"
 _T4_TAGS_TR = "|RuC|=2; <L>=Sym(n/2); <L> transitive"
 _T5_TAGS_INTR = "|RuC|=1; <L>=Sym(n/2); <L> intransitive"
@@ -728,7 +720,7 @@ _T7_TAGS_ODD = "|RuC|=1; <L>/=Sym(n/2); Ker(f)/=C2; x odd and n/2 odd"
 
 
 def _descriptor(table, number, tags, build, rank_for=_table_rank,
-                degree_for=_same, domain=None, params=(), expected=None):
+                points_per_n=1, domain=None, params=(), expected=None):
     return FamilyDescriptor(
         table=table,
         number=number,
@@ -736,8 +728,8 @@ def _descriptor(table, number, tags, build, rank_for=_table_rank,
         params=tuple(params),
         build=build,
         rank_for=rank_for,
-        degree_for=degree_for,
         domain_error=domain or _even_degree(7),
+        points_per_n=points_per_n,
         expected=dict(expected or {}),
     )
 
@@ -847,19 +839,19 @@ def _build_catalog():
 
     extras = [
         _descriptor("HIGHC", 1, "rank n-1; simplex path", _highc_1,
-                    rank_for=lambda n: n - 1, degree_for=_same,
+                    rank_for=lambda n: n - 1,
                     domain=_min_degree(5),
                     expected={"order": "n!", "schlafli": "3..3"}),
         _descriptor("HIGHC", 2, "rank n-2; path 1,0,1,2,..", _highc_2,
-                    rank_for=lambda n: n - 2, degree_for=_same,
+                    rank_for=lambda n: n - 2,
                     domain=_min_degree(7),
                     expected={"order": "n!", "schlafli": "4,6,3..3"}),
         _descriptor("REP2N", 1, "Sym_n on 2n points; rank n-1", _rep2n_1,
-                    rank_for=lambda n: n - 1, degree_for=_double,
+                    rank_for=lambda n: n - 1, points_per_n=2,
                     domain=_min_degree(7),
                     expected={"order": "n!", "schlafli": "3..3"}),
         _descriptor("REP2N", 2, "Sym_n on 2n points; rank n-2", _rep2n_2,
-                    rank_for=lambda n: n - 2, degree_for=_double,
+                    rank_for=lambda n: n - 2, points_per_n=2,
                     domain=_min_degree(7),
                     expected={"order": "n!", "schlafli": "4,6,3..3"}),
         _descriptor("P61", 1, "C2 x Sym(n/2); block count 2; intransitive C",
@@ -905,16 +897,45 @@ def table_families():
     return [d for d in family_catalog() if d.table in ("T4", "T5", "T6", "T7", "T8")]
 
 
-@lru_cache(maxsize=None)
-def _catalog_canonical_forms(n):
-    forms = {}
+def _catalog(points):
+    """(descriptor, its own n, why it has no instance on this many points or
+    None) per family, in catalog order; the own n is points / points_per_n."""
     for desc in family_catalog():
-        if desc.table in ("P61",):
-            continue  # aliases of T8#1/2; avoid double matches
-        for params in desc.param_sweep(n):
-            graph = desc.instantiate(n, params)
-            forms[canonical_form(graph)] = (desc.id, params)
-    return forms
+        n, rest = divmod(points, desc.points_per_n)
+        if rest:
+            yield desc, None, (f"acts on {desc.points_per_n}n points, "
+                               f"requires even degree, got {points}")
+        else:
+            yield desc, n, desc.domain_error(n)
+
+
+def catalog_instances(points):
+    """(family_id, params) pairs admissible on this many points."""
+    return [(desc.id, {"n": n, **params})
+            for desc, n, reason in _catalog(points)
+            if not reason for params in desc.param_sweep(n)]
+
+
+def catalog_skips(points):
+    """(family_id, reason) for every family with no instance on this many
+    points, in catalog order."""
+    return [(desc.id, reason) for desc, _, reason in _catalog(points) if reason]
+
+
+@lru_cache(maxsize=None)
+def _duality_table(points):
+    """(id, params, form, dual's form) per instance on this many points, and
+    the lookup from form to (id, params).  P61 is left out of the lookup: its
+    rows are aliases of T8#1/2, so they would double every match."""
+    rows = []
+    for family_id, params in catalog_instances(points):
+        graph = instantiate_family(family_id, params)
+        rows.append((family_id, params, canonical_form(graph),
+                     involution_form(graph.images[::-1])))
+    lookup = {form: (family_id, params)
+              for family_id, params, form, _ in rows
+              if descriptor(family_id).table != "P61"}
+    return rows, lookup
 
 
 def duality_partner(family_id, n):
@@ -929,13 +950,12 @@ def duality_partner(family_id, n):
         raise FamilyDomainError(
             f"{family_id}: degree {n} not admissible for the duality check"
         )
-    sweeps = desc.param_sweep(n)
-    forms = _catalog_canonical_forms(n)
+    rows, lookup = _duality_table(desc.points_per_n * n)
     outcomes = set()
-    for params in sweeps:
-        graph = desc.instantiate(n, params)
-        images = [p.images for p in graph_to_sggi(graph).gens]
-        hit = forms.get(involution_form(images[::-1]))
+    for row_id, params, _, dual_form in rows:
+        if row_id != family_id:
+            continue
+        hit = lookup.get(dual_form)
         if hit is None:
             outcomes.add(None)
         elif hit[0] == family_id:
@@ -963,5 +983,7 @@ __all__ = [
     "table_families",
     "descriptor",
     "instantiate_family",
+    "catalog_instances",
+    "catalog_skips",
     "duality_partner",
 ]

@@ -111,10 +111,6 @@ class Permutation:
         inv = tuple(inv)
         return self if inv == self.images else Permutation._raw(inv)
 
-    def conjugate(self, g):
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def apply(self, point):
         """Image of a 1-based point."""
         return self.images[point - 1] + 1

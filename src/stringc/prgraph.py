@@ -1,11 +1,12 @@
 """Permutation representation graphs.
 
 An r-edge-labelled multigraph on n vertices encodes an sggi: label i carries
-an edge {a,b} exactly when generator i swaps a and b.  Validation enforces
-the three structural facts that make the encoding work: each label is a
-partial matching, every label occurs, and for non-adjacent labels the only
-components larger than an edge are alternating squares (which is precisely
-the commuting property on the induced involutions).
+an edge {a,b} exactly when generator i swaps a and b.  A graph keeps those
+involutions as image tuples, and validation checks the three structural
+facts that make the encoding work on them: every label occurs, each label
+is a partial matching, and the involutions of non-adjacent labels commute
+(so the components of their two-label subgraph are edges and alternating
+squares).
 """
 
 from __future__ import annotations
@@ -19,22 +20,24 @@ class GraphError(ValueError):
 
 
 class PRGraph:
-    """Validated edge-labelled multigraph; edges sorted by (label, u, v)."""
+    """Validated edge-labelled multigraph; edges sorted by (label, u, v).
 
-    __slots__ = ("vertices", "rank", "edges")
+    images[l] is label l's involution as a 0-based image tuple: v - 1 goes
+    to u - 1 for every l-edge {u, v}, and every other point is fixed.
+    """
+
+    __slots__ = ("vertices", "rank", "edges", "images")
 
     def __init__(self, vertices, rank, edges):
         edges = tuple(sorted(_normalize_edge(e, vertices, rank) for e in edges))
-        _validate(vertices, rank, edges)
+        images = _involutions(vertices, rank, edges)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "images", images)
 
     def __setattr__(self, name, value):
         raise AttributeError("PRGraph is immutable")
-
-    def edges_with_label(self, label):
-        return [(u, v) for (lbl, u, v) in self.edges if lbl == label]
 
     def __eq__(self, other):
         return (
@@ -61,60 +64,40 @@ def _normalize_edge(edge, n, rank):
     return (label, min(u, v), max(u, v))
 
 
-def _validate(n, rank, edges):
-    by_label = {}
+def _involutions(n, rank, edges):
+    """The image tuple of each label, checking in turn that every label
+    occurs, that each label is a matching and that non-adjacent labels
+    commute."""
+    missing = set(range(rank)).difference(lbl for lbl, _, _ in edges)
+    if missing:
+        raise GraphError(
+            f"label {min(missing)} occurs on no edge (identity generator)")
+    images = [list(range(n)) for _ in range(rank)]
     for lbl, u, v in edges:
-        by_label.setdefault(lbl, []).append((u, v))
-    for lbl in range(rank):
-        if lbl not in by_label:
-            raise GraphError(f"label {lbl} occurs on no edge (identity generator)")
-    for lbl, pairs in by_label.items():
-        incident = set()
-        for u, v in pairs:
-            for x in (u, v):
-                if x in incident:
-                    raise GraphError(
-                        f"label {lbl} is not a matching: vertex {x} has two "
-                        f"{lbl}-edges"
-                    )
-                incident.add(x)
+        image = images[lbl]
+        for x in (u, v):
+            if image[x - 1] != x - 1:
+                raise GraphError(
+                    f"label {lbl} is not a matching: vertex {x} has two "
+                    f"{lbl}-edges"
+                )
+        image[u - 1], image[v - 1] = v - 1, u - 1
+    images = tuple(map(tuple, images))
     for i in range(rank):
         for j in range(i + 2, rank):
-            _check_squares(n, i, j, by_label[i], by_label[j])
-
-
-def _check_squares(n, i, j, edges_i, edges_j):
-    # Components of the {i,j}-subgraph with more than two vertices must be
-    # squares with alternating labels.
-    nbr = [[v, v] for v in range(n + 1)]
-    for side, pairs in enumerate((edges_i, edges_j)):
-        for u, v in pairs:
-            nbr[u][side], nbr[v][side] = v, u
-    seen = set()
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        _, component = _table(nbr, start)
-        seen.update(component)
-        if len(component) <= 2:
-            continue
-        if len(component) != 4 or any(x in nbr[x] for x in component):
-            raise GraphError(
-                f"labels {{{i},{j}}} are non-adjacent but their subgraph has a "
-                f"component on vertices {sorted(component)} that is not an "
-                f"alternating square"
-            )
+            a, b = images[i], images[j]
+            for x in range(n):
+                if a[b[x]] != b[a[x]]:
+                    raise GraphError(
+                        f"labels {{{i},{j}}} are non-adjacent but do not "
+                        f"commute at vertex {x + 1}"
+                    )
+    return images
 
 
 def graph_to_sggi(g: PRGraph) -> Sggi:
-    """Generator i = the product of transpositions over the i-edges."""
-    gens = []
-    for lbl in range(g.rank):
-        pairs = g.edges_with_label(lbl)
-        gens.append(
-            Permutation.from_cycles([list(p) for p in pairs], g.vertices)
-        )
-    return Sggi(gens, strict=False)
+    """Generator i swaps the ends of every i-edge."""
+    return Sggi([Permutation(images) for images in g.images], strict=False)
 
 
 def sggi_to_graph(s: Sggi) -> PRGraph:
@@ -258,7 +241,7 @@ def involution_form(images):
 
 def canonical_form(g: PRGraph):
     """The involution_form of the graph's generators."""
-    return involution_form([p.images for p in graph_to_sggi(g).gens])
+    return involution_form(g.images)
 
 
 def isomorphic(a: PRGraph, b: PRGraph) -> bool:

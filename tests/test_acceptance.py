@@ -83,8 +83,9 @@ def _closure(graph, labels):
     gens = []
     for label in labels:
         images = list(range(graph.vertices))
-        for u, v in graph.edges_with_label(label):
-            images[u - 1], images[v - 1] = v - 1, u - 1
+        for lbl, u, v in graph.edges:
+            if lbl == label:
+                images[u - 1], images[v - 1] = v - 1, u - 1
         gens.append(tuple(images))
     identity = tuple(range(graph.vertices))
     seen = {identity}
@@ -430,6 +431,16 @@ class TestCriterion8:
             })
         golden = (GOLDENS / "ip_verdicts_n14.json").read_text()
         assert json.loads(json.dumps(verdicts)) == json.loads(golden)
+
+    def test_reports_match_golden(self, catalog_reports):
+        """Every n=14 report, as verify --no-timing --format json prints it,
+        equals the golden: round-trip, transitivity and duality evidence
+        included."""
+        reports, _ = catalog_reports
+        got = [rep.to_dict(no_timing=True) for rep in reports]
+        golden = (GOLDENS / "verify_n14.json").read_text()
+        assert json.loads(json.dumps(got)) == json.loads(golden)
+
 
 class TestCriterion9:
     def test_round_trips_and_dot_goldens(self):

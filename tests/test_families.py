@@ -96,7 +96,7 @@ class TestInstantiation:
         for desc in table_families():
             for params in desc.param_sweep(n):
                 graph = desc.instantiate(n, params)
-                assert graph.vertices == desc.degree_for(n)
+                assert graph.vertices == desc.points_per_n * n
                 sggi = graph_to_sggi(graph)
                 assert sggi.rank == desc.rank_for(n)
                 built += 1
@@ -216,10 +216,19 @@ class TestDuality:
         assert duality_partner("T8#4", 14) == "T8#4"
 
     def test_representatives_without_listed_duals(self):
-        # The tables list one graph per dual pair, so these duals are
-        # intentionally absent from the catalog.
-        for fid in ["T4#1", "T5#13", "T6#17", "T7#25", "T8#1", "REP2N#2"]:
-            assert duality_partner(fid, 14) is None
+        # Every family on 14 and on 16 points, REP2N at its own n of 7 and
+        # 8.  The tables list one graph per dual pair, so apart from these
+        # three the duals are intentionally absent from the catalog.
+        listed = {"T8#4": "T8#4", "HIGHC#1": "SELF", "REP2N#1": "SELF"}
+        for points, absent in [(14, ()), (16, ("T4", "T7"))]:
+            partners = {}
+            for desc in family_catalog():
+                n = points // 2 if desc.table == "REP2N" else points
+                if not desc.domain_error(n):
+                    partners[desc.id] = duality_partner(desc.id, n)
+            assert set(partners) == {d.id for d in family_catalog()
+                                     if d.table not in absent}
+            assert partners == {fid: listed.get(fid) for fid in partners}
 
     def test_dual_graph_roundtrip(self):
         from stringc.prgraph import sggi_to_graph

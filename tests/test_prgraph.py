@@ -53,13 +53,109 @@ class TestParse:
             parse_graph("prg 4 2 / 0 1 2")
 
     def test_square_violation_reports_component(self):
-        # 0- and 2-edges sharing a vertex form a 3-vertex path.
-        with pytest.raises(GraphError, match=r"\{0,2\}"):
+        # 0- and 2-edges sharing a vertex form a 3-vertex path, so (1,2)
+        # and (2,3) do not commute: 1 goes to 2 one way and to 3 the other.
+        with pytest.raises(GraphError, match=r"^labels \{0,2\} are non-adjacent"
+                           r" but do not commute at vertex 1$"):
             parse_graph("prg 4 3 / 0 1 2 / 1 3 4 / 2 2 3")
 
     def test_square_accepted(self):
         g = parse_graph("prg 4 3 / 0 1 2 / 0 3 4 / 2 1 3 / 2 2 4 / 1 2 3")
         assert g.rank == 3
+
+
+class TestImages:
+    """PRGraph.images against the involutions written from the edges, and
+    which rule a graph that breaks several is rejected for."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        from stringc.families import catalog_instances, instantiate_family
+
+        catalog = [instantiate_family(fid, params) for points in (14, 16)
+                   for fid, params in catalog_instances(points)]
+        rng = random.Random(31)
+        corpus = [g for g in (_random_valid_graph(rng) for _ in range(60)) if g]
+        return catalog + corpus
+
+    def test_images_are_the_edge_involutions(self, graphs):
+        for g in graphs:
+            cycles = [[] for _ in range(g.rank)]
+            for lbl, u, v in g.edges:
+                cycles[lbl].append([u, v])
+            expected = tuple(Permutation.from_cycles(c, g.vertices).images
+                             for c in cycles)
+            assert g.images == expected
+            assert tuple(p.images for p in graph_to_sggi(g).gens) == expected
+
+    @pytest.mark.parametrize("text, message", [
+        # A missing label is reported before a broken matching ...
+        ("prg 3 2 / 0 1 2 / 0 2 3", "label 1 occurs on no edge"),
+        # ... and before non-commuting labels, the lowest missing label first.
+        ("prg 4 5 / 0 1 2 / 1 3 4 / 2 2 3", "label 3 occurs on no edge"),
+        # A broken matching is reported before non-commuting labels, at the
+        # first vertex of the lowest label's sorted edges.
+        ("prg 4 3 / 0 1 2 / 0 2 3 / 1 3 4 / 2 2 3",
+         "label 0 is not a matching: vertex 2 has two 0-edges"),
+        ("prg 5 3 / 0 1 2 / 1 3 4 / 2 2 3 / 2 2 5",
+         "label 2 is not a matching: vertex 2 has two 2-edges"),
+        # Of two non-commuting pairs, the first in (i, j) order.
+        ("prg 5 4 / 0 1 2 / 1 4 5 / 2 2 3 / 3 3 4",
+         "labels {0,2} are non-adjacent but do not commute at vertex 1"),
+    ])
+    def test_first_broken_rule_is_reported(self, text, message):
+        with pytest.raises(GraphError) as caught:
+            parse_graph(text)
+        assert str(caught.value).startswith(message)
+
+    def test_random_graphs_report_the_first_broken_rule(self):
+        # Labels may repeat vertices or be missing, so a graph can break
+        # any mix of the three rules; the error names the first in the
+        # order coverage, matching, commuting.
+        rng = random.Random(91)
+        seen = set()
+        for _ in range(300):
+            n, rank = rng.randint(3, 7), rng.randint(2, 5)
+            edges = []
+            for _ in range(rng.randint(1, 2 * n)):
+                u, v = rng.sample(range(1, n + 1), 2)
+                edges.append((rng.randrange(rank), u, v))
+            expected = _first_broken_rule(n, rank, edges)
+            try:
+                PRGraph(n, rank, edges)
+                got = None
+            except GraphError as exc:
+                got = str(exc)
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None and got.startswith(expected), (
+                    edges, got, expected)
+            seen.add(expected and expected.split()[2])
+        assert len(seen) == 4
+
+
+def _first_broken_rule(n, rank, edges):
+    """The message prefix of the first rule the edge list breaks, or None."""
+    edges = sorted((lbl, min(u, v), max(u, v)) for lbl, u, v in edges)
+    labels = {lbl for lbl, _, _ in edges}
+    for lbl in range(rank):
+        if lbl not in labels:
+            return f"label {lbl} occurs on no edge"
+    partner = [{} for _ in range(rank)]
+    for lbl, u, v in edges:
+        if u in partner[lbl] or v in partner[lbl]:
+            return f"label {lbl} is not a matching"
+        partner[lbl][u], partner[lbl][v] = v, u
+    for i in range(rank):
+        for j in range(i + 2, rank):
+            a, b = partner[i], partner[j]
+            for x in range(1, n + 1):
+                if a.get(b.get(x, x), b.get(x, x)) != b.get(a.get(x, x),
+                                                             a.get(x, x)):
+                    return (f"labels {{{i},{j}}} are non-adjacent but do not "
+                            f"commute at vertex {x}")
+    return None
 
 
 class TestConversions:

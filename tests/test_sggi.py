@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -387,6 +388,27 @@ class TestNaiveWiderPairs:
         if naive.witness is not None:
             j, k = (sum(1 << i for i in side) for side in naive.witness)
             assert lattice.intersection_order(j, k) != lattice.order(j & k)
+
+
+class TestNaiveRankCap:
+    def test_rank_over_cap_raises_before_any_meet(self, monkeypatch):
+        # HIGHC#1 at n = 16 has rank 15, over the cap of 12.
+        def no_meet(*args):
+            raise AssertionError("the naive scan met a pair")
+
+        monkeypatch.setattr(SubsetLattice, "intersection_order", no_meet)
+        s = graph_to_sggi(instantiate_family("HIGHC#1", {"n": 16}))
+        started = time.perf_counter()
+        with pytest.raises(IPBudgetExceeded, match="rank 15 is over its cap"):
+            check_intersection_property(s, "naive")
+        assert time.perf_counter() - started < 1
+
+    def test_rank_at_cap_is_scanned(self, monkeypatch):
+        # Rank 12 passes the rank cap, so the first meet meets the orbit cap.
+        monkeypatch.setattr("stringc.sggi._ORBIT_CAP", 0)
+        s = graph_to_sggi(instantiate_family("HIGHC#1", {"n": 13}))
+        with pytest.raises(IPBudgetExceeded, match="cap of 0"):
+            check_intersection_property(s, "naive")
 
 
 class TestIntersectionOrder:
