@@ -27,8 +27,10 @@ from .analysis import (
     all_swap_permutation,
     alpha_vector,
     block_action,
+    block_path_order,
     classify_kernel,
     delta_vector,
+    kernel_vector,
     lcr_decompose,
     table3_cell,
 )
@@ -155,17 +157,6 @@ def _two_block_system(group):
     return None
 
 
-def _expected_lcr_sizes(tag, rank):
-    left, mid, right = tag.split(",")
-
-    def value(expr):
-        if expr.startswith("r"):
-            return rank - int(expr.split("-")[1]) if "-" in expr else rank
-        return int(expr)
-
-    return (value(left), value(mid), value(right))
-
-
 def verify_instance(family_id, params) -> VerificationReport:
     """Run every checkable predicate for one instance.
 
@@ -238,15 +229,14 @@ def verify_instance(family_id, params) -> VerificationReport:
     _expect(report, "transitive", group.is_transitive() == is_connected(graph)
             and group.is_transitive())
 
-    is_table = desc.table in ("T4", "T5", "T6", "T7", "T8", "P61")
-    if is_table:
+    expected = desc.expected
+    if "blocks" in expected:
         _expect(report, "proper_subgroup", order < math.factorial(s.degree),
                 order=order)
         systems = group.minimal_block_systems()
         _expect(report, "imprimitive", bool(systems),
                 systems=[(b.block_count, b.block_size) for b in systems])
 
-    expected = desc.expected
     if expected.get("order") == "2*(n/2)!":
         _expect(report, "order_expected", order == 2 * math.factorial(n // 2),
                 order=order)
@@ -254,15 +244,18 @@ def verify_instance(family_id, params) -> VerificationReport:
         _expect(report, "order_expected", order == math.factorial(n),
                 order=order)
 
-    tag = expected.get("schlafli")
-    if tag:
+    if "schlafli" in expected:
+        head = expected["schlafli"]
         _expect(report, "schlafli_expected",
-                _schlafli_matches(tag, tuple(symbol)), schlafli=str(symbol))
+                symbol[:len(head)] == head
+                and all(p == 3 for p in symbol[len(head):]),
+                schlafli=str(symbol))
 
     if expected.get("blocks") == "k2":
-        _verify_k2(report, desc, s, group, systems, n, build_params, lattice)
+        _verify_k2(report, expected, s, group, systems, n, build_params,
+                   lattice)
     elif expected.get("blocks") == "m2":
-        _verify_m2(report, desc, s, group, n)
+        _verify_m2(report, expected, s, group, n)
 
     partner = duality_partner(family_id, n)
     dd = sggi_to_graph(dual(dual(s))) == graph
@@ -281,17 +274,8 @@ def _witness_str(result):
     return [sorted(j), sorted(k)]
 
 
-def _schlafli_matches(tag, symbol):
-    if tag == "3..3":
-        return all(p == 3 for p in symbol)
-    if tag == "2,3..3":
-        return symbol[0] == 2 and all(p == 3 for p in symbol[1:])
-    if tag == "4,6,3..3":
-        return symbol[:2] == (4, 6) and all(p == 3 for p in symbol[2:])
-    raise ValueError(f"unknown schlafli tag {tag}")
-
-
-def _verify_k2(report, desc, s, group, systems, n, build_params, lattice):
+def _verify_k2(report, expected, s, group, systems, n, build_params,
+               lattice):
     m = n // 2
     columns = _column_system(n)
     _expect(
@@ -317,23 +301,24 @@ def _verify_k2(report, desc, s, group, systems, n, build_params, lattice):
                 all_swap_permutation(columns) in group)
 
     dec = lcr_decompose(s, columns)
-    expected_sizes = _expected_lcr_sizes(desc.expected["lcr"], s.rank)
+    expected_sizes = expected["lcr"](s.rank)
     _expect(report, "lcr", dec.sizes() == expected_sizes,
             sizes=dec.sizes(), expected=expected_sizes)
     _expect(report, "lcr_bounds", len(dec.C) <= 1 and len(dec.L) <= m - 1,
             C=len(dec.C), L=len(dec.L))
 
-    if desc.table in ("T6", "T7"):
-        _verify_delta_calculus(report, desc, s, columns, m, build_params,
+    if "kernel_g0" in expected:
+        _verify_delta_calculus(report, expected, s, columns, m, build_params,
                                lattice)
 
 
-def _verify_delta_calculus(report, desc, s, columns, m, build_params, lattice):
+def _verify_delta_calculus(report, expected, s, columns, m, build_params,
+                           lattice):
     full = (1 << s.rank) - 1
     g0 = PermGroup(list(s.gens[1:]), s.degree, chain=lattice.chain(full & ~1))
     res0 = block_action(g0, columns)
     kclass0 = classify_kernel(res0, m)
-    expected0 = "C2" if desc.table == "T6" else "C2^(m-1)"
+    expected0 = expected["kernel_g0"]
     _expect(report, "kernel_g0", kclass0 == expected0,
             kernel_class=kclass0, expected=expected0)
 
@@ -368,28 +353,23 @@ def _verify_delta_calculus(report, desc, s, columns, m, build_params, lattice):
     _expect(report, "deltas_match_table", table_ok, mismatches=mismatches)
 
     nontrivial = sorted(i for i, v in deltas.items() if v.form != ("O", None))
-    if desc.table == "T6":
+    if "u_index" in expected:
         u_indices = [i for i, v in deltas.items() if v.form == ("U", None)]
-        expected_u = _expected_u_index(desc, s.rank, build_params)
+        expected_u = expected["u_index"](s.rank, build_params)
         _expect(report, "unique_u_delta",
                 nontrivial == u_indices and len(u_indices) == 1
                 and u_indices[0] == expected_u,
                 u_indices=u_indices, expected=expected_u)
-        rho0 = kernel_vector_of_rho0(s, columns)
-        expected_rho0 = desc.expected["rho0"]
-        _expect(report, "rho0_vector", rho0 == expected_rho0,
-                rho0=rho0, expected=expected_rho0)
-    else:  # T7
-        x = build_params["x"]
-        _expect(report, "delta_window", nontrivial == [x, x + 1],
-                nontrivial=nontrivial, expected=[x, x + 1])
-        rho0 = kernel_vector_of_rho0(s, columns)
-        _expect(report, "rho0_vector", rho0 == "U", rho0=rho0, expected="U")
+    else:
+        window = expected["delta_window"](s.rank, build_params)
+        _expect(report, "delta_window", nontrivial == window,
+                nontrivial=nontrivial, expected=window)
+    rho0 = kernel_vector_of_rho0(s, columns)
+    _expect(report, "rho0_vector", rho0 == expected["rho0"],
+            rho0=rho0, expected=expected["rho0"])
 
 
 def kernel_vector_of_rho0(s, columns):
-    from .analysis import block_path_order, kernel_vector
-
     ordered = block_path_order(s, columns)
     try:
         return kernel_vector(s.gens[0], ordered).name
@@ -397,18 +377,7 @@ def kernel_vector_of_rho0(s, columns):
         return NOT_IN_KERNEL
 
 
-def _expected_u_index(desc, rank, build_params):
-    tag = desc.expected["u_index"]
-    if tag == "i":
-        return build_params["i"]
-    if tag == "1":
-        return 1
-    if tag == "r-2":
-        return rank - 2
-    raise ValueError(tag)
-
-
-def _verify_m2(report, desc, s, group, n):
+def _verify_m2(report, expected, s, group, n):
     two = _two_block_system(group)
     _expect(report, "two_block_system", two is not None)
     if two is None:
@@ -417,7 +386,7 @@ def _verify_m2(report, desc, s, group, n):
     _expect(report, "two_block_image", res.image_order == 2,
             image_order=res.image_order)
     dec = lcr_decompose(s, two)
-    expected_sizes = _expected_lcr_sizes(desc.expected["lcr"], s.rank)
+    expected_sizes = expected["lcr"](s.rank)
     _expect(report, "lcr", dec.sizes() == expected_sizes,
             sizes=dec.sizes(), expected=expected_sizes)
     _expect(report, "lcr_bounds", len(dec.C) <= two.block_size - 1,
@@ -446,13 +415,11 @@ def _map(fn, work, jobs):
 
 def verify_catalog(n, ids=None, jobs=1):
     """Verify every admissible instance on n points; returns reports."""
-    if n % 2 == 0 and n // 2 < 7:
-        raise ValueError(f"catalog degrees need n/2 >= 7, got n = {n}")
-    work = [
-        (fid, params)
-        for fid, params in catalog_instances(n)
-        if ids is None or fid in ids
-    ]
+    instances = catalog_instances(n)
+    if not instances:
+        raise ValueError(f"no catalog family has an instance on {n} points")
+    work = [(fid, params) for fid, params in instances
+            if ids is None or fid in ids]
     return _map(verify_instance, work, jobs)
 
 

@@ -28,6 +28,7 @@ from .families import (
     duality_partner,
     family_catalog,
     instantiate_family,
+    table_families,
 )
 from .prgraph import emit_dot, emit_dsl, graph_to_sggi, sggi_to_graph
 from .sggi import dual as dual_sggi
@@ -86,12 +87,10 @@ def _cmd_catalog(args, out):
         for row in rows:
             extra = f" params={','.join(row['params'])}" if row["params"] else ""
             out.write(f"{row['id']:9s} {row['case']}{extra}\n")
-        numbered = sum(
-            1 for r in rows if r["id"].split("#")[0].startswith("T")
-        )
         out.write(
-            f"# {numbered} numbered table graphs; duals are listed up to "
-            f"duality (duality_partner marks SELF/partner/unlisted)\n"
+            f"# {len(table_families())} numbered table graphs; duals are "
+            f"listed up to duality (duality_partner marks "
+            f"SELF/partner/unlisted)\n"
         )
     return 0
 

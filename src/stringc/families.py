@@ -734,6 +734,36 @@ def _descriptor(table, number, tags, build, rank_for=_table_rank,
     )
 
 
+# The claims the paper states for each family, by name.  verify_instance
+# runs the checks of the claims a descriptor states and compares with these
+# values:
+#   blocks        "k2": n/2 column blocks of size 2; "m2": 2 blocks of n/2
+#   lcr           rank -> (|L|, |C|, |R|)
+#   kernel_g0     class of G_0's kernel on the column blocks
+#   u_index       (rank, params) -> the one i with delta_i = U
+#   delta_window  (rank, params) -> the i with delta_i nontrivial
+#   rho0          rho_0's kernel vector along the block path
+#   order         "2*(n/2)!" or "n!" (bench/workloads.py reads this tag)
+#   schlafli      the entries before the run of 3s
+_T4_CLAIMS = {"blocks": "k2", "lcr": lambda r: (r - 2, 1, 1)}
+_T5_CLAIMS = {"blocks": "k2", "lcr": lambda r: (r - 1, 0, 1)}
+# rho_0 of the T7 families is the central all-swap, so it sits in C.
+_T7_CLAIMS = {"blocks": "k2", "lcr": lambda r: (r - 1, 1, 0),
+              "kernel_g0": "C2^(m-1)",
+              "delta_window": lambda r, p: [p["x"], p["x"] + 1],
+              "rho0": "U"}
+_C2_X_SYM_CLAIMS = {"blocks": "m2", "lcr": lambda r: (1, r - 1, 0),
+                    "order": "2*(n/2)!", "schlafli": (2,)}
+_T8_3_CLAIMS = {"blocks": "m2", "lcr": lambda r: (1, r - 2, 1)}
+_T8_4_CLAIMS = {"blocks": "m2", "lcr": lambda r: (1, r - 3, 2)}
+_RANK_N_1_CLAIMS = {"order": "n!", "schlafli": ()}
+_RANK_N_2_CLAIMS = {"order": "n!", "schlafli": (4, 6)}
+
+
+def _t6_claims(rho0, u_index):
+    return {**_T5_CLAIMS, "kernel_g0": "C2", "u_index": u_index, "rho0": rho0}
+
+
 def _build_catalog():
     odd_half = _even_degree_odd_half(7)
     t4 = []
@@ -754,112 +784,92 @@ def _build_catalog():
         t4.append(
             _descriptor(
                 "T4", number, tags, build, rank_for=rank_for, domain=odd_half,
-                expected={"lcr": "r-2,1,1", "blocks": "k2"},
+                expected=_T4_CLAIMS,
             )
         )
 
     t5 = [
-        _descriptor("T5", 13, _T5_TAGS_INTR, _t5_13,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2"}),
-        _descriptor("T5", 14, _T5_TAGS_INTR, _t5_14,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2"}),
-        _descriptor("T5", 15, _T5_TAGS_TR, _t5_15,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2"}),
-        _descriptor("T5", 16, _T5_TAGS_TR, _t5_16,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2"}),
+        _descriptor("T5", 13, _T5_TAGS_INTR, _t5_13, expected=_T5_CLAIMS),
+        _descriptor("T5", 14, _T5_TAGS_INTR, _t5_14, expected=_T5_CLAIMS),
+        _descriptor("T5", 15, _T5_TAGS_TR, _t5_15, expected=_T5_CLAIMS),
+        _descriptor("T5", 16, _T5_TAGS_TR, _t5_16, expected=_T5_CLAIMS),
     ]
 
     i_interior_hi = ParamSpec("i", "2 <= i <= r-2", _interior_i(2, -2))
     i_interior_lo = ParamSpec("i", "1 <= i <= r-3", _interior_i(1, -3))
+    r1_at_i = _t6_claims("R1", lambda r, p: p["i"])
+    l1_at_i = _t6_claims("L1", lambda r, p: p["i"])
     t6 = [
         _descriptor("T6", 17, _T6_TAGS, _t6_17, params=[i_interior_hi],
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "R1", "u_index": "i"}),
+                    expected=r1_at_i),
         _descriptor("T6", 18, _T6_TAGS, _t6_18, params=[i_interior_hi],
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "L1", "u_index": "i"}),
+                    expected=l1_at_i),
         _descriptor("T6", 19, _T6_TAGS, _t6_19, params=[i_interior_lo],
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "R1", "u_index": "i"}),
+                    expected=r1_at_i),
         _descriptor("T6", 20, _T6_TAGS, _t6_20, params=[i_interior_lo],
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "L1", "u_index": "i"}),
+                    expected=l1_at_i),
         _descriptor("T6", 21, _T6_TAGS, _t6_21,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "L1", "u_index": "1"}),
+                    expected=_t6_claims("L1", lambda r, p: 1)),
         _descriptor("T6", 22, _T6_TAGS, _t6_22,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "R1", "u_index": "1"}),
+                    expected=_t6_claims("R1", lambda r, p: 1)),
         _descriptor("T6", 23, _T6_TAGS, _t6_23,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "L1", "u_index": "r-2"}),
+                    expected=_t6_claims("L1", lambda r, p: r - 2)),
         _descriptor("T6", 24, _T6_TAGS, _t6_24,
-                    expected={"lcr": "r-1,0,1", "blocks": "k2",
-                              "rho0": "R1", "u_index": "r-2"}),
+                    expected=_t6_claims("R1", lambda r, p: r - 2)),
     ]
 
     x_even = ParamSpec("x", "x even, 2 <= x <= r-3", _x_values(0))
     x_odd = ParamSpec("x", "x odd, 1 <= x <= r-3", _x_values(1))
-    # rho_0 of the T7 families is the central all-swap, so it sits in C.
     t7 = [
         _descriptor("T7", 25, _T7_TAGS_EVEN, _t7_25, domain=odd_half,
-                    params=[x_even],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
+                    params=[x_even], expected=_T7_CLAIMS),
         _descriptor("T7", 26, _T7_TAGS_EVEN, _t7_26, domain=odd_half,
-                    params=[x_even],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
+                    params=[x_even], expected=_T7_CLAIMS),
         _descriptor("T7", 27, _T7_TAGS_ODD, _t7_27, domain=odd_half,
-                    params=[x_odd],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
+                    params=[x_odd], expected=_T7_CLAIMS),
         _descriptor("T7", 28, _T7_TAGS_ODD, _t7_28, domain=odd_half,
-                    params=[x_odd],
-                    expected={"lcr": "r-1,1,0", "blocks": "k2"}),
+                    params=[x_odd], expected=_T7_CLAIMS),
     ]
 
     i_t8 = ParamSpec("i", "2 <= i <= r-3", _interior_i(2, -3))
     t8 = [
         _descriptor("T8", 1, "m=2; |R|=0; <C> intransitive", _t8_1,
-                    expected={"lcr": "1,r-1,0", "blocks": "m2",
-                              "order": "2*(n/2)!", "schlafli": "2,3..3"}),
+                    expected=_C2_X_SYM_CLAIMS),
         _descriptor("T8", 2, "m=2; |R|=0; <C> transitive", _t8_2,
-                    expected={"lcr": "1,r-1,0", "blocks": "m2",
-                              "order": "2*(n/2)!", "schlafli": "2,3..3"}),
+                    expected=_C2_X_SYM_CLAIMS),
         _descriptor("T8", 3, "m=2; G_0 and G_(r-1) intransitive", _t8_3,
-                    expected={"lcr": "1,r-2,1", "blocks": "m2"}),
+                    expected=_T8_3_CLAIMS),
         _descriptor("T8", 4, "m=2; G_0 and G_(r-1) intransitive", _t8_4,
-                    params=[i_t8],
-                    expected={"lcr": "1,r-3,2", "blocks": "m2"}),
+                    params=[i_t8], expected=_T8_4_CLAIMS),
         _descriptor("T8", 5, "m=2; G_0 transitive, G_(r-1) intransitive",
-                    _t8_5, expected={"lcr": "1,r-3,2", "blocks": "m2"}),
+                    _t8_5, expected=_T8_4_CLAIMS),
         _descriptor("T8", 6, "m=2; G_0 transitive, G_(r-1) intransitive",
-                    _t8_6, expected={"lcr": "1,r-3,2", "blocks": "m2"}),
+                    _t8_6, expected=_T8_4_CLAIMS),
         _descriptor("T8", 7, "m=2; G_0 transitive, G_(r-1) intransitive",
-                    _t8_7, expected={"lcr": "1,r-3,2", "blocks": "m2"}),
+                    _t8_7, expected=_T8_4_CLAIMS),
     ]
 
     extras = [
         _descriptor("HIGHC", 1, "rank n-1; simplex path", _highc_1,
                     rank_for=lambda n: n - 1,
                     domain=_min_degree(5),
-                    expected={"order": "n!", "schlafli": "3..3"}),
+                    expected=_RANK_N_1_CLAIMS),
         _descriptor("HIGHC", 2, "rank n-2; path 1,0,1,2,..", _highc_2,
                     rank_for=lambda n: n - 2,
                     domain=_min_degree(7),
-                    expected={"order": "n!", "schlafli": "4,6,3..3"}),
+                    expected=_RANK_N_2_CLAIMS),
         _descriptor("REP2N", 1, "Sym_n on 2n points; rank n-1", _rep2n_1,
                     rank_for=lambda n: n - 1, points_per_n=2,
                     domain=_min_degree(7),
-                    expected={"order": "n!", "schlafli": "3..3"}),
+                    expected=_RANK_N_1_CLAIMS),
         _descriptor("REP2N", 2, "Sym_n on 2n points; rank n-2", _rep2n_2,
                     rank_for=lambda n: n - 2, points_per_n=2,
                     domain=_min_degree(7),
-                    expected={"order": "n!", "schlafli": "4,6,3..3"}),
+                    expected=_RANK_N_2_CLAIMS),
         _descriptor("P61", 1, "C2 x Sym(n/2); block count 2; intransitive C",
-                    _t8_1, expected={"lcr": "1,r-1,0", "blocks": "m2",
-                                     "order": "2*(n/2)!", "schlafli": "2,3..3"}),
+                    _t8_1, expected=_C2_X_SYM_CLAIMS),
         _descriptor("P61", 2, "C2 x Sym(n/2); block count 2; transitive C",
-                    _t8_2, expected={"lcr": "1,r-1,0", "blocks": "m2",
-                                     "order": "2*(n/2)!", "schlafli": "2,3..3"}),
+                    _t8_2, expected=_C2_X_SYM_CLAIMS),
     ]
     return t4 + t5 + t6 + t7 + t8 + extras
 

@@ -244,11 +244,6 @@ def canonical_form(g: PRGraph):
     return involution_form(g.images)
 
 
-def isomorphic(a: PRGraph, b: PRGraph) -> bool:
-    """Label-preserving isomorphism: equal canonical forms, an exact test."""
-    return canonical_form(a) == canonical_form(b)
-
-
 __all__ = [
     "PRGraph",
     "GraphError",
@@ -260,5 +255,4 @@ __all__ = [
     "emit_dot",
     "canonical_form",
     "involution_form",
-    "isomorphic",
 ]

@@ -441,6 +441,14 @@ class TestCriterion8:
         golden = (GOLDENS / "verify_n14.json").read_text()
         assert json.loads(json.dumps(got)) == json.loads(golden)
 
+    def test_reports_match_golden_n16(self):
+        """Every n=16 report equals its golden too, which pins the claims
+        at an even rank: T6#23/24's U delta at r-2 and the L/C/R sizes at
+        rank 8 among them."""
+        got = [rep.to_dict(no_timing=True) for rep in verify_catalog(16)]
+        golden = (GOLDENS / "verify_n16.json").read_text()
+        assert json.loads(json.dumps(got)) == json.loads(golden)
+
 
 class TestCriterion9:
     def test_round_trips_and_dot_goldens(self):

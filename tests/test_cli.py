@@ -114,6 +114,7 @@ class TestVerifyCommand:
          "verify takes a family id or --all, not both"),
         (["--n", "14", "--all", "--i", "2"], "verify --all takes no --i or --x"),
         (["--n", "14", "--all", "--x", "1"], "verify --all takes no --i or --x"),
+        (["--n", "3", "--all"], "no catalog family has an instance on 3 points"),
     ])
     def test_bad_parameters_exit_2(self, argv, message, capsys):
         code, text = run(["verify", "--no-timing"] + argv)
@@ -133,6 +134,15 @@ class TestVerifyCommand:
                            if d.id != "HIGHC#1"]
         assert "# skipped HIGHC#2: requires n >= 7, got 5" in lines
         assert lines[-1] == "# 1/1 instances pass"
+
+    def test_all_runs_wherever_the_catalog_has_instances(self):
+        # n = 12 is too small for the tables, but HIGHC#1 and #2 have
+        # instances on 12 points.
+        code, text = run(["verify", "--n", "12", "--all", "--no-timing"])
+        assert code == 0
+        assert [line.split()[1] for line in text.splitlines()
+                if not line.startswith("#")] == ["HIGHC#1", "HIGHC#2"]
+        assert text.endswith("# 2/2 instances pass\n")
 
     def test_byte_identical_with_no_timing(self):
         args = ["verify", "T6#21", "--n", "14", "--format", "json", "--no-timing"]

@@ -69,3 +69,15 @@ def test_unused_imports_are_tracer_patches(monkeypatch):
     assert unused <= {(module, attribute) for module, attribute, _ in PATCHES}
     # The walk does see imports: the shim families keeps for the tracer.
     assert ("stringc.families", "sggi_to_graph") in unused
+
+
+@pytest.mark.parametrize("name", ["classify", "cli"])
+def test_no_table_names(name):
+    # Which checks a family gets follows from the claims its descriptor
+    # states, and which families are table graphs from
+    # families.table_families(); neither module names a table.
+    tables = {"T4", "T5", "T6", "T7", "T8", "P61", "HIGHC", "REP2N"}
+    tree = ast.parse(Path(stringc.__path__[0], f"{name}.py").read_text())
+    named = sorted(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in tables)
+    assert named == []
