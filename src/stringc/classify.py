@@ -41,7 +41,13 @@ from .families import (
     duality_partner,
 )
 from .perms import BlockSystem, PermGroup, Permutation, brute_force_elements
-from .prgraph import graph_to_sggi, involution_form, is_connected, sggi_to_graph
+from .prgraph import (
+    graph_to_sggi,
+    involution_key,
+    is_connected,
+    orbit_count,
+    sggi_to_graph,
+)
 from .sggi import (
     IPBudgetExceeded,
     Sggi,
@@ -645,8 +651,7 @@ def exhaustive_search(
         raw += [[model.elements[e].images for e in combo] for combo in found]
         completed = completed and done
     if transitive_only:
-        # The form's components are the orbits of the generated group.
-        raw = [combo for combo in raw if len(involution_form(combo)[2]) == 1]
+        raw = [combo for combo in raw if orbit_count(combo) == 1]
     items, merged = _dedup(raw)
     return SearchOutcome(items, completed, time.perf_counter() - started, merged)
 
@@ -758,9 +763,12 @@ def _dedup(raw_tuples):
     """Deduplication of raw generator-image tuples up to conjugacy in
     Sym(n) and duality.
 
-    A tuple's key is the smaller involution_form of its images and of the
-    reversed images (its dual's), so two tuples share a key exactly when
-    they are conjugate, directly or after reversal.  Only the first tuple of
+    A tuple's key is its involution_key: the smaller involution_form of its
+    images and of the reversed images (its dual's), so two tuples share a
+    key exactly when they are conjugate, directly or after reversal.  For a
+    transitive tuple the key is one least numbering table over every start
+    vertex in both label orders, grown row by row in one pass (see the
+    canonical-form notes in prgraph).  Only the first tuple of
     each class in sorted order becomes an Sggi, oriented so that its
     Schlafli symbol is no larger than the reversed one.  Both orientations
     generate the same group, so the dual's signature is this one with the
@@ -770,9 +778,7 @@ def _dedup(raw_tuples):
     raw_tuples = sorted(raw_tuples)
     classes = {}
     for images_list in raw_tuples:
-        key = min(involution_form(images_list),
-                  involution_form(images_list[::-1]))
-        classes.setdefault(key, images_list)
+        classes.setdefault(involution_key(images_list), images_list)
     items = []
     for images_list in classes.values():
         s = Sggi([Permutation(images) for images in images_list])

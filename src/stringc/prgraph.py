@@ -110,8 +110,8 @@ def sggi_to_graph(s: Sggi) -> PRGraph:
 
 
 def is_connected(g: PRGraph) -> bool:
-    """One component, read off the canonical form."""
-    return len(canonical_form(g)[2]) == 1
+    """One component: the generated group is transitive."""
+    return orbit_count(g.images) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,35 +208,104 @@ def emit_dot(g: PRGraph) -> str:
 # numbering to the i-th of the other), so equal least tables mean isomorphic
 # components.  The form lists the sorted (component size, least table)
 # pairs; the components are the orbits of the generated group.
+#
+# The least table is grown one row at a time over all start vertices
+# together.  Row i of a table is the r numbers of its i-th vertex's
+# neighbours, so every row has exactly r entries and every table of a
+# component has one row per vertex: comparing two tables is comparing their
+# rows in order.  After row i only the starts whose row i is the least row i
+# among the starts still kept are kept.  A start dropped at row i agrees
+# with a kept start on rows 0..i-1 and is larger at row i, so its table is
+# larger and can never be least; the kept starts share the least rows so
+# far.  The table the last kept starts share is the minimum over every
+# start.
+#
+# The dedup key of a tuple is the smaller of its form and its dual's, the
+# form of the reversed tuple.  Reversing the tuple reverses each neighbour
+# row nbr[v] and leaves the components as they are.  When the graph is
+# connected both forms are (n, r, ((n, table),)), so the smaller form is
+# the one with the smaller least table, and that is the least table over
+# the 2n (start vertex, label order) pairs: the same row-by-row pass finds
+# it over all 2n at once.
 # ---------------------------------------------------------------------------
 
 
-def _table(nbr, start):
-    number = {start: 0}
-    order = [start]
+def _components(nbr):
+    """The vertices of each component, in breadth-first order from its
+    least vertex."""
+    seen = set()
+    components = []
+    for start in range(len(nbr)):
+        if start in seen:
+            continue
+        seen.add(start)
+        order = [start]
+        for x in order:
+            for y in nbr[x]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        components.append(order)
+    return components
+
+
+def _least_table(starts, size):
+    """The least numbering table over the (neighbour rows, start vertex)
+    pairs in starts, all of one component of size vertices."""
+    numberings = []
+    for nbr, v in starts:
+        number = [-1] * len(nbr)
+        number[v] = 0
+        numberings.append((nbr, number, [v]))
     table = []
-    for x in order:
-        for y in nbr[x]:
-            if y not in number:
-                number[y] = len(order)
-                order.append(y)
-            table.append(number[y])
-    return tuple(table), order
+    for i in range(size):
+        least = None
+        kept = []
+        for numbering in numberings:
+            nbr, number, order = numbering
+            row = []
+            for y in nbr[order[i]]:
+                k = number[y]
+                if k < 0:
+                    k = number[y] = len(order)
+                    order.append(y)
+                row.append(k)
+            if least is None or row < least:
+                least = row
+                kept = [numbering]
+            elif row == least:
+                kept.append(numbering)
+        numberings = kept
+        table += least
+    return tuple(table)
+
+
+def orbit_count(images):
+    """Number of orbits of the group generated by the image tuples, one per
+    label: the components of their graph, found by one graph search."""
+    return len(_components(list(zip(*images))))
 
 
 def involution_form(images):
     """Canonical form of the graph of involutions given as image tuples,
     one per label; the dual's form is involution_form(images[::-1])."""
     nbr = list(zip(*images))
-    seen = set()
-    components = []
-    for start in range(len(nbr)):
-        if start in seen:
-            continue
-        _, comp = _table(nbr, start)
-        seen.update(comp)
-        components.append((len(comp), min(_table(nbr, v)[0] for v in comp)))
-    return (len(nbr), len(images), tuple(sorted(components)))
+    components = sorted(
+        (len(comp), _least_table([(nbr, v) for v in comp], len(comp)))
+        for comp in _components(nbr))
+    return (len(nbr), len(images), tuple(components))
+
+
+def involution_key(images):
+    """min(involution_form(images), involution_form(images[::-1])): equal
+    exactly for tuples conjugate in Sym(n), directly or after reversal."""
+    nbr = list(zip(*images))
+    if len(_components(nbr)) != 1:
+        return min(involution_form(images), involution_form(images[::-1]))
+    n = len(nbr)
+    rev = [row[::-1] for row in nbr]
+    starts = [(nbr, v) for v in range(n)] + [(rev, v) for v in range(n)]
+    return (n, len(images), ((n, _least_table(starts, n)),))
 
 
 def canonical_form(g: PRGraph):
@@ -255,4 +324,6 @@ __all__ = [
     "emit_dot",
     "canonical_form",
     "involution_form",
+    "involution_key",
+    "orbit_count",
 ]

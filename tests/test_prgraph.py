@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stringc.perms import PermGroup, Permutation, parse_perm
 from stringc.prgraph import (
@@ -14,7 +16,9 @@ from stringc.prgraph import (
     emit_dsl,
     graph_to_sggi,
     involution_form,
+    involution_key,
     is_connected,
+    orbit_count,
     parse_graph,
     sggi_to_graph,
 )
@@ -357,6 +361,108 @@ class TestInvolutionForm:
             assert (len(components) == 1) == transitive == is_connected(g)
             kinds.add(transitive)
         assert kinds == {True, False}
+
+
+def _reference_table(nbr, start):
+    number = {start: 0}
+    order = [start]
+    table = []
+    for x in order:
+        for y in nbr[x]:
+            if y not in number:
+                number[y] = len(order)
+                order.append(y)
+            table.append(number[y])
+    return tuple(table), order
+
+
+def _reference_form(images):
+    """The canonical form as the least complete numbering table over every
+    start vertex of each component: the reference for the row-by-row
+    pass."""
+    nbr = list(zip(*images))
+    seen = set()
+    components = []
+    for start in range(len(nbr)):
+        if start in seen:
+            continue
+        _, comp = _reference_table(nbr, start)
+        seen.update(comp)
+        components.append(
+            (len(comp), min(_reference_table(nbr, v)[0] for v in comp)))
+    return (len(nbr), len(images), tuple(sorted(components)))
+
+
+def _check_against_reference(images):
+    images = list(images)
+    for oriented in (images, images[::-1]):
+        assert involution_form(oriented) == _reference_form(oriented)
+    assert involution_key(images) == min(_reference_form(images),
+                                         _reference_form(images[::-1]))
+    n = len(images[0])
+    group = PermGroup([Permutation(image) for image in images], n)
+    orbits = {tuple(group.orbit(p)) for p in range(1, n + 1)}
+    assert orbit_count(images) == len(orbits)
+
+
+@st.composite
+def involution_tuples(draw):
+    """Image tuples of 1..4 involutions on 1..9 points, commuting or not.
+    Each label keeps a drawn part of the previous label's pairs (J-edges)
+    and matches a drawn number of the other points; unmatched points are
+    fixed, and small matchings leave several components."""
+    n = draw(st.integers(1, 9))
+    images = []
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = [pair for pair in pairs if draw(st.booleans())]
+        used = {x for pair in pairs for x in pair}
+        free = [x for x in draw(st.permutations(range(n))) if x not in used]
+        k = draw(st.integers(0, len(free) // 2))
+        pairs += [(free[2 * i], free[2 * i + 1]) for i in range(k)]
+        image = list(range(n))
+        for a, b in pairs:
+            image[a], image[b] = b, a
+        images.append(tuple(image))
+    return images
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(involution_tuples())
+    @example([(0,)])
+    # J-edges {0,1} on labels 0 and 1, three components, a fixed point.
+    @example([(1, 0, 3, 2, 4), (1, 0, 2, 3, 4)])
+    # A hexagon on three labels: one component.
+    @example([(1, 0, 3, 2, 5, 4), (0, 2, 1, 4, 3, 5), (5, 1, 2, 3, 4, 0)])
+    def test_random_tuples(self, images):
+        _check_against_reference(images)
+
+    @pytest.mark.parametrize("points", [14, 16])
+    def test_catalog_graphs(self, points):
+        from stringc.classify import catalog_instances
+        from stringc.families import instantiate_family
+
+        for fid, params in catalog_instances(points):
+            _check_against_reference(instantiate_family(fid, params).images)
+
+    @pytest.mark.parametrize("name, min_rank, order", [
+        ("alt5-deg6", 3, None), ("sym5-deg6", 3, None),
+        ("c2wrS3-deg6", 4, None), ("s3wrS2-deg6", 4, 36),
+    ])
+    def test_degree6_raw_tuples(self, name, min_rank, order):
+        # The raw tuples of the Tables 1-2 rows, before dedup and before
+        # the transitive filter.
+        from stringc.ambients import named_ambient
+        from stringc.classify import _AmbientModel, _raw_search
+
+        model = _AmbientModel(named_ambient(name))
+        found, completed = _raw_search(
+            model, min_rank, 5, order or model.order, None,
+            range(len(model.involution_indices())))
+        assert completed and found
+        for combo in found:
+            _check_against_reference([model.elements[e].images for e in combo])
 
 
 def _comparison_corpus():
