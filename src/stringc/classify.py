@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .analysis import (
@@ -411,10 +410,13 @@ def _workers(jobs, items):
 
 def _map(fn, work, jobs):
     """[fn(*item) for item in work], in a process pool when more than one
-    worker is allowed."""
+    worker is allowed.  The pool is imported only then, so a serial run
+    never loads multiprocessing."""
     jobs = _workers(jobs, len(work))
     if jobs == 1:
         return [fn(*item) for item in work]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*work)))
 
@@ -502,6 +504,18 @@ class _AmbientModel:
 
     def involution_indices(self):
         return [i for i, g in enumerate(self.elements) if g.is_involution()]
+
+    def conjugations(self):
+        """For each generator s of the ambient, the map x -> s^-1·x·s on
+        element indices, read off the table: the generators' conjugations
+        reach every conjugate of a tuple."""
+        table = self._table
+        moves = []
+        for s in self._ambient[0]:
+            by_s = self.index[s.images]
+            inverse_row = table[self.index[s.inverse().images]]
+            moves.append([table[y][by_s] for y in inverse_row])
+        return moves
 
 
 class _SubgroupLattice:
@@ -625,6 +639,14 @@ def exhaustive_search(
     deterministic and independent of the worker count.
     transitive_only drops intransitive subgroups (only possible when
     subgroup_order is given).
+
+    The raw tuples stay element-index combos of the ambient's model, and
+    _dedup keys them once per orbit of the ambient G acting by conjugation:
+    conjugating by G relabels the points, which changes no key, so the key
+    of one tuple is the key of its whole orbit.  The representative of each
+    class is still the first raw tuple of the class in sorted order (the
+    elements are numbered in sorted order, so the combos sort as their
+    images do), and the output is the same as with one key per tuple.
     """
     if min_rank < 2:
         raise ValueError("min_rank must be at least 2")
@@ -648,11 +670,9 @@ def exhaustive_search(
     raw = []
     completed = True
     for found, done in _map(_raw_search, work, jobs):
-        raw += [[model.elements[e].images for e in combo] for combo in found]
+        raw += found
         completed = completed and done
-    if transitive_only:
-        raw = [combo for combo in raw if orbit_count(combo) == 1]
-    items, merged = _dedup(raw)
+    items, merged = _dedup(raw, model, transitive_only)
     return SearchOutcome(items, completed, time.perf_counter() - started, merged)
 
 
@@ -759,36 +779,105 @@ def _raw_search(model, min_rank, max_rank, target, budget_sec, first_slice):
     return found, completed[0]
 
 
-def _dedup(raw_tuples):
-    """Deduplication of raw generator-image tuples up to conjugacy in
-    Sym(n) and duality.
+def _dedup(raw_tuples, model=None, transitive_only=False):
+    """Deduplication of raw tuples up to conjugacy in Sym(n) and duality.
+
+    Without model the raw tuples are generator-image tuples, each keyed by
+    its own involution_key; brute_force_search uses this path, so the
+    oracle does not rest on the orbit walk.  With model they are
+    element-index combos of model, keyed by _orbit_keys once per orbit of
+    the ambient acting by conjugation, and transitive_only drops the tuples
+    whose group has more than one orbit on the points.
 
     A tuple's key is its involution_key: the smaller involution_form of its
     images and of the reversed images (its dual's), so two tuples share a
     key exactly when they are conjugate, directly or after reversal.  For a
     transitive tuple the key is one least numbering table over every start
     vertex in both label orders, grown row by row in one pass (see the
-    canonical-form notes in prgraph).  Only the first tuple of
-    each class in sorted order becomes an Sggi, oriented so that its
-    Schlafli symbol is no larger than the reversed one.  Both orientations
-    generate the same group, so the dual's signature is this one with the
-    Schlafli symbol reversed.  Classes are listed by signature, then by
-    their printed generators.
+    canonical-form notes in prgraph).  Only the first tuple of each class
+    in sorted order becomes an Sggi, oriented so that its Schlafli symbol
+    is no larger than the reversed one.  Both orientations generate the
+    same group, so the dual's signature is this one with the Schlafli
+    symbol reversed.  Classes are listed by signature, then by their
+    printed generators.
+
+    The orbit keys are exact and keep the same representatives.  The
+    ambient G lies in Sym(n), so conjugating a tuple by g in G relabels the
+    points: its involution_form is unchanged, and so is its key, the
+    minimum over both orientations, under reversal as well.  Every tuple
+    that an orbit walk marks therefore has the key of the tuple the walk
+    started from.  The walks start in sorted order, each from a tuple not
+    yet marked, and every earlier tuple is keyed by then, so a walk marks
+    only tuples after its start.  A marked tuple thus shares its key with
+    an earlier tuple, and the first tuple of each key class in sorted order
+    is never marked: it is keyed by its own images, as on the reference
+    path, and stays the representative, so merged_duplicates is unchanged
+    too.  A class that splits into several orbits of G costs one key per
+    orbit, and its orbits are merged by their equal keys.
     """
-    raw_tuples = sorted(raw_tuples)
+    raw_tuples = sorted(map(tuple, raw_tuples))
+    if model is None:
+        keys = map(involution_key, raw_tuples)
+        generator = Permutation
+    else:
+        keys = map(_orbit_keys(model, raw_tuples, transitive_only).get,
+                   raw_tuples)
+        generator = model.elements.__getitem__
     classes = {}
-    for images_list in raw_tuples:
-        classes.setdefault(involution_key(images_list), images_list)
+    kept = 0
+    for raw, key in zip(raw_tuples, keys):
+        if key is not None:
+            kept += 1
+            classes.setdefault(key, raw)
     items = []
-    for images_list in classes.values():
-        s = Sggi([Permutation(images) for images in images_list])
+    for raw in classes.values():
+        s = Sggi(list(map(generator, raw)))
         sig = signature(s)
         if sig.schlafli[::-1] < sig.schlafli:
             s = dual(s)
             sig = replace(sig, schlafli=sig.schlafli[::-1])
         items.append((sig.key(), [str(g) for g in s.gens], s, sig))
     items.sort(key=lambda item: item[:2])
-    return [(s, sig) for _, _, s, sig in items], len(raw_tuples) - len(classes)
+    return [(s, sig) for _, _, s, sig in items], kept - len(classes)
+
+
+def _orbit_keys(model, combos, transitive_only=False):
+    """{combo: its involution_key} for the sorted element-index combos of
+    model, with one key computed per orbit of the ambient acting by
+    conjugation; with transitive_only, None for the combos of intransitive
+    orbits (the number of orbits on the points is a conjugacy invariant).
+
+    At the first combo not yet keyed, the key is computed from its images,
+    and the orbit is walked from it: each generator's conjugation applied
+    position by position, in both orientations.  Only combos in the list
+    are marked, and the walk goes on only from them, so nothing is kept per
+    conjugate outside the list.  The search keeps one orientation of each
+    accepted tuple, and the accepted tuples are closed under conjugation,
+    so a complete search's list meets every tuple of an orbit in one
+    orientation or the other and the walk reaches all of them.
+    """
+    moves = model.conjugations()
+    elements = model.elements
+    unkeyed = set(combos)
+    keys = {}
+    for combo in combos:
+        if combo not in unkeyed:
+            continue
+        images = [elements[e].images for e in combo]
+        key = (involution_key(images)
+               if not transitive_only or orbit_count(images) == 1 else None)
+        unkeyed.discard(combo)
+        keys[combo] = key
+        orbit = [combo]
+        for c in orbit:
+            for move in moves:
+                conjugate = tuple(map(move.__getitem__, c))
+                for d in (conjugate, conjugate[::-1]):
+                    if d in unkeyed:
+                        unkeyed.discard(d)
+                        keys[d] = key
+                        orbit.append(d)
+    return keys
 
 
 def brute_force_search(ambient: PermGroup, min_rank, max_rank,

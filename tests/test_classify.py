@@ -14,6 +14,7 @@ from stringc.ambients import AMBIENT_ORDERS, ambient_names, named_ambient
 from stringc.classify import (
     _AmbientModel,
     _dedup,
+    _orbit_keys,
     _raw_search,
     _SubgroupLattice,
     brute_force_search,
@@ -32,6 +33,7 @@ from stringc.perms import (
     brute_force_elements,
     parse_perm,
 )
+from stringc.prgraph import involution_key, orbit_count
 from stringc.sggi import Sggi, dual
 
 
@@ -249,7 +251,8 @@ class TestWorkerClamp:
     @pytest.fixture
     def pools(self, monkeypatch):
         seen = []
-        monkeypatch.setattr("stringc.classify.ProcessPoolExecutor",
+        # _map imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             _RecordingPool(seen))
         return seen
 
@@ -533,6 +536,40 @@ class TestDedup:
         expected = conjugation_orbit_count(commuting_involution_pairs(6), 6)
         assert expected == 9
         assert len(outcome.items) == expected
+
+    @pytest.mark.parametrize("name, min_rank, max_rank, order, computed", [
+        ("alt5-deg6", 3, 5, None, 3),
+        ("sym5-deg6", 3, 5, None, 5),
+        ("c2wrS3-deg6", 4, 5, None, 6),
+        ("s3wrS2-deg6", 4, 5, 36, 2),
+        ("c2wrS4-deg8", 4, 4, None, 16),
+    ])
+    def test_orbit_keys_are_exact(self, monkeypatch, name, min_rank,
+                                  max_rank, order, computed):
+        # Every raw tuple gets the key of its own images, one key computed
+        # per orbit of the ambient; a walk that conjugates wrongly marks
+        # tuples with another orbit's key, or reaches fewer of them.
+        model = _AmbientModel(named_ambient(name))
+        everywhere = range(len(model.involution_indices()))
+        found, completed = _raw_search(model, min_rank, max_rank,
+                                       order or model.order, None, everywhere)
+        assert completed
+        combos = sorted(map(tuple, found))
+        expected = {c: involution_key([model.elements[e].images for e in c])
+                    for c in combos}
+        calls = []
+
+        def counting_key(images):
+            calls.append(images)
+            return involution_key(images)
+
+        monkeypatch.setattr("stringc.classify.involution_key", counting_key)
+        assert _orbit_keys(model, combos) == expected
+        assert len(calls) == computed
+        transitive = {c: key if orbit_count(
+            [model.elements[e].images for e in c]) == 1 else None
+            for c, key in expected.items()}
+        assert _orbit_keys(model, combos, transitive_only=True) == transitive
 
     def test_input_order_does_not_matter(self):
         raw = commuting_involution_pairs(5)

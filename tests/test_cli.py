@@ -164,6 +164,21 @@ class TestOtherCommands:
         assert done.returncode == 0, done.stderr
         assert done.stdout == run(["catalog"])[1]
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # Serial runs, the default, never start a pool, so they should not
+        # pay for importing one.
+        src = str(Path(stringc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, stringc.cli; print(sorted(name for name in "
+                 "('concurrent.futures.process', 'multiprocessing') "
+                 "if name in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_exits_2_quietly(self, unbuffered):
         # Unbuffered, the first write fails inside the command; buffered,
