@@ -3,10 +3,11 @@
 An sggi is an ordered list of involutions where generators at non-adjacent
 string positions commute.  This module validates them, computes Schlafli
 symbols, checks independence and the intersection property, and forms duals.
-The intersection property has two checks: a naive oracle that decides every
-pair of generator subsets, most from a widest pair, and most widest pairs by a
-narrow meet inside a holding superpair; and the standard recursive criterion
-over intervals.
+Independence is mostly read off the orders of two intervals.  The
+intersection property has two checks: a naive oracle that decides every pair
+of generator subsets, most from a widest pair, most widest pairs by a narrow
+pair inside a holding superpair, and most narrow pairs by their co-singleton
+superpair; and the standard recursive criterion over intervals.
 """
 
 from __future__ import annotations
@@ -117,13 +118,24 @@ def dual(s: Sggi) -> Sggi:
 def is_independent(s: Sggi, lattice=None) -> bool:
     """No generator lies in the subgroup generated by the others.
 
+    Mostly decided from interval orders.  With P = <g_0..g_{i-1}> and
+    S = <g_{i+1}..g_{r-1}>, every generator of P commutes with every
+    generator of S, so P and S commute elementwise and <all but g_i> = PS,
+    of order at most |P||S|.  Were g_i in it, it would be the whole group
+    G; so |P||S| < |G| proves g_i is not.  Only when that bound fails is
+    g_i sifted through the chain of <all but g_i>.  P and S are intervals,
+    and the recursive intersection-property check builds the chains of
+    nearly all intervals anyway.
+
     A SubsetLattice passed in keeps the chains of the generator subsets for
     later intersection-property checks.
     """
     lattice = lattice or SubsetLattice(s)
-    full = (1 << s.rank) - 1
+    r, full = s.rank, (1 << s.rank) - 1
     return not any(
-        lattice.chain(full & ~(1 << i)).contains(g)
+        lattice.order(_interval_mask(0, i - 1))
+        * lattice.order(_interval_mask(i + 1, r - 1)) >= lattice.order(full)
+        and lattice.chain(full & ~(1 << i)).contains(g)
         for i, g in enumerate(s.gens)
     )
 
@@ -246,49 +258,65 @@ def _pair_holds(lattice, mask_j, mask_k):
         mask_j & mask_k)
 
 
-def _widest_holds(lattice, verdicts, mask_a, mask_b):
+def _widest_holds(lattice, verdicts, walking, mask_a, mask_b):
     """Whether the widest pair (A, B) is known to hold: it holds and its
     own orbit bound is within _ORBIT_CAP.
 
     verdicts maps each widest pair decided so far, as (lower, higher)
-    mask, to that boolean.  A pair is decided after its superpair, so the
-    superpairs not yet in verdicts are walked up first, then decided on
-    the way back down, with no recursion.
+    mask, to that boolean, and walking holds the pairs of every walk still
+    in progress.  A pair is decided after its superpair, so the superpairs
+    not yet in verdicts are walked up first, then decided on the way back
+    down.  A narrow pair's co-singleton superpair is decided before it by
+    a nested walk, unless that pair is in progress itself, and then the
+    narrow pair is met.  Each nested walk puts at least one new pair in
+    progress, so the nesting ends.
     """
-    pending = []  # (widest pair, narrow pair met if its superpair holds)
+    pending = []  # (widest pair, index i of its narrow pair, or 0)
     key = pair = (min(mask_a, mask_b), max(mask_a, mask_b))
     while pair not in verdicts:
         mask_a, mask_b = pair
-        meet = mask_a & mask_b
         only_a, only_b = mask_a & ~mask_b, mask_b & ~mask_a
         if only_a & (only_a - 1):  # |A - B| >= 2: widen B by A's lowest
             i = only_a & -only_a
-            wider, narrow = (mask_a, mask_b | i), (meet | i, mask_b)
+            wider = (mask_a, mask_b | i)
         elif only_b & (only_b - 1):  # |B - A| >= 2: widen A by B's lowest
             i = only_b & -only_b
-            wider, narrow = (mask_a | i, mask_b), (mask_a, meet | i)
+            wider = (mask_a | i, mask_b)
         else:
-            pending.append((pair, None))  # a base pair
+            pending.append((pair, 0))  # a base pair
             break
-        pending.append((pair, narrow))
+        pending.append((pair, i))
         pair = (min(wider), max(wider))
+    walking.update(p for p, _ in pending)
     held = verdicts.get(pair, False)  # the verdict of the last superpair
-    for pair, narrow in reversed(pending):
-        if narrow and held and lattice.orbit_bound(*pair) <= _ORBIT_CAP:
-            held = _pair_holds(lattice, *narrow)
+    for pair, i in reversed(pending):
+        if i and held and lattice.orbit_bound(*pair) <= _ORBIT_CAP:
+            # The narrow pair (A, N) holds if its co-singleton superpair
+            # (every index but i, N) does, and is met only if not.
+            mask_a, mask_b = pair
+            narrow = (mask_a & mask_b) | i
+            lone = (mask_a | mask_b) & ~i
+            upper = (min(lone, narrow), max(lone, narrow))
+            held = (
+                (upper not in walking
+                 and _widest_holds(lattice, verdicts, walking, *upper))
+                or _pair_holds(lattice, mask_b if mask_a & i else mask_a,
+                               narrow))
         else:
             try:
                 held = _pair_holds(lattice, *pair)
             except IPBudgetExceeded:
                 held = False  # not known to hold: meet each pair itself
         verdicts[pair] = held
+        walking.discard(pair)
     return verdicts[key]
 
 
 def _check_naive(s: Sggi, lattice=None) -> IPResult:
     """Every non-nested pair (J, K) in increasing-bitmask order; most are
-    decided by their widest superpair, and most widest pairs by a narrow
-    meet inside a holding superpair.
+    decided by their widest superpair, most widest pairs by a narrow pair
+    inside a holding superpair, and most narrow pairs by their own widest
+    superpair.
 
     Pairs from widest pairs.  With rest the indices in neither J nor K and
     J' = J | rest, J' & K = J & K, so <J & K> <= <J> meet <K> <= <J'> meet
@@ -316,9 +344,22 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
     the narrow meet cannot raise, and every pair below raises exactly when
     its direct meet would.  A widest pair whose superpair is not known to
     hold is met at full width, as are the r(r-1)/2 base pairs (every index
-    but b, every index but a), which have no superpair.  Neither step uses
-    the commuting property or the interval reduction, so the oracle stays
-    independent of the recursive check.
+    but b, every index but a), which have no superpair.
+
+    Narrow pairs from co-singleton superpairs.  The narrow pair (A, N),
+    N = (A & B) + i, is a pair like any other, so the first step applies
+    to it: the indices in neither side are those outside A + i, so its
+    widest superpair is (every index but i, N), one side missing a single
+    index.  When that pair is known to hold, so does the narrow pair, and
+    its stored verdict replaces the meet.  It is decided first, by a
+    nested walk, unless it is on a walk still in progress; only a narrow
+    pair whose co-singleton superpair is not known to hold is met.  The
+    rule is exact, so no verdict changes; a narrow meet it saves could not
+    raise, and a walk counts a widest pair over the cap as not known to
+    hold instead of raising.  So each pair's outcome, the witness and any
+    budget raise are still those of the direct meets.  None of the three
+    steps uses the commuting property or the interval reduction, so the
+    oracle stays independent of the recursive check.
     """
     if s.rank > _NAIVE_MAX_RANK:
         raise IPBudgetExceeded(
@@ -327,7 +368,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
         )
     lattice = lattice or SubsetLattice(s)
     full = (1 << s.rank) - 1
-    verdicts = {}
+    verdicts, walking = {}, set()
 
     # A pair fails exactly when its mirror does, and the mirror of (j, k)
     # with j > k comes earlier in the ordered scan, so the unordered pairs
@@ -343,7 +384,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             held = verdicts.get(
                 (wide, mask_k) if wide < mask_k else (mask_k, wide))
             if held is None:
-                held = _widest_holds(lattice, verdicts, wide, mask_k)
+                held = _widest_holds(lattice, verdicts, walking, wide, mask_k)
             if held:
                 continue
             if not _pair_holds(lattice, mask_j, mask_k):

@@ -450,10 +450,11 @@ class TestCriterion8:
         assert json.loads(json.dumps(got)) == json.loads(golden)
 
     def test_reports_match_golden_n18(self):
-        """Every n=18 report equals its golden.  At rank 9 no table instance
-        runs the naive oracle, so the recursive check alone decides their
-        intersection property, and the interval-order bound of
-        is_independent, or its chain fallback, every `independent`."""
+        """Every n=18 report equals its golden.  The table instances have
+        rank 9 or 10, so none runs the naive oracle: the recursive check
+        alone decides their intersection property, and the interval-order
+        bound of is_independent, or its chain fallback, every
+        `independent`."""
         got = [rep.to_dict(no_timing=True) for rep in verify_catalog(18)]
         golden = (GOLDENS / "verify_n18.json").read_text()
         assert json.loads(json.dumps(got)) == json.loads(golden)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringc import sggi
 from stringc.ambients import named_ambient
 from stringc.families import instantiate_family
 from stringc.perms import (
@@ -207,6 +208,78 @@ class TestIndependence:
         s = mk(4, "(1,2)", "(3,4)", "(1,2)(3,4)", strict=False)
         assert not is_independent(s)
 
+    @staticmethod
+    def _check_against_definition(sggis):
+        """is_independent against closure, and the interval-order bound
+        |<g_0..g_{i-1}>| |<g_{i+1}..g_{r-1}>| < |G| against every g_i it
+        decides.  Returns the number of dependent sggis and of independent
+        generators that the bound leaves to the chain."""
+        dependent = undecided = 0
+        for s in sggis:
+            order = lambda gens: len(brute_force_elements(gens, s.degree))
+            member = [g in brute_force_elements(s.gens[:i] + s.gens[i + 1:],
+                                                s.degree)
+                      for i, g in enumerate(s.gens)]
+            assert is_independent(s) == (not any(member)), s
+            dependent += any(member)
+            for i in range(s.rank):
+                if order(s.gens[:i]) * order(s.gens[i + 1:]) < order(s.gens):
+                    assert not member[i], (s, i)
+                else:
+                    undecided += not member[i]
+        return dependent, undecided
+
+    def test_matches_definition_on_randoms(self):
+        rng = random.Random(23)
+        sggis = [random_sggi(rng, rng.randint(4, 8), rng.randint(2, 4))
+                 for _ in range(40)]
+        dependent, undecided = self._check_against_definition(sggis)
+        assert 0 < dependent < len(sggis)
+        assert undecided > 0
+
+    def test_matches_definition_on_perturbed_simplices(self,
+                                                       perturbed_simplices):
+        dependent, _ = self._check_against_definition(perturbed_simplices)
+        assert 0 < dependent < len(perturbed_simplices)
+
+    def test_matches_definition_with_repeats(self):
+        # Non-strict lists with a generator repeated at another position,
+        # kept wherever the commuting rule still holds.
+        rng = random.Random(29)
+        sggis = []
+        while len(sggis) < 30:
+            s = random_sggi(rng, rng.randint(4, 8), rng.randint(2, 4))
+            gens = list(s.gens)
+            gens.insert(rng.randint(0, s.rank), rng.choice(s.gens))
+            try:
+                sggis.append(Sggi(gens, strict=False))
+            except SggiError:
+                continue
+        dependent, _ = self._check_against_definition(sggis)
+        assert dependent == len(sggis)
+
+    @pytest.mark.parametrize("family_id", ["T4#1", "T6#21", "P61#1"])
+    def test_catalog_decided_by_interval_orders(self, family_id):
+        # The bound decides every generator of these instances, so the
+        # lattice holds chains of intervals only: no <all but g_i> is built.
+        s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
+        lattice = SubsetLattice(s)
+        assert is_independent(s, lattice=lattice)
+        for mask in lattice._chains:
+            low = mask & -mask
+            assert mask & (mask + low) == 0, bin(mask)  # contiguous bits
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_t8_6_fails_through_chain_fallback(self, n):
+        # g_0 of T8#6 lies in <g_1..g_{r-1}>; the bound leaves it to the
+        # chain, which finds it.
+        s = graph_to_sggi(instantiate_family("T8#6", {"n": n}))
+        lattice = SubsetLattice(s)
+        full = (1 << s.rank) - 1
+        assert not is_independent(s, lattice=lattice)
+        assert lattice.order(full & ~1) == lattice.order(full)
+        assert lattice.chain(full & ~1).contains(s.gens[0])
+
 
 class TestIntersectionProperty:
     def test_simplex_rank4(self):
@@ -334,6 +407,40 @@ class TestNaiveWiderPairs:
                 for i in range(s.rank) if (b & ~a) >> i & 1
             }
             assert met - base <= narrow
+
+    def test_fixture_meets_narrow_pairs_whose_superpair_fails(
+            self, perturbed_simplices, monkeypatch):
+        # A narrow pair (A, N), N - A = {j}, of a holding widest pair is
+        # met directly only when its co-singleton superpair (every index
+        # but j, N) is not known to hold.  The comparisons with
+        # reference_naive test that branch only if the fixture reaches it
+        # with a superpair that fails.
+        walks, met = [0], []
+        widest_holds, pair_holds = sggi._widest_holds, sggi._pair_holds
+
+        def walk(*args):
+            walks[0] += 1
+            try:
+                return widest_holds(*args)
+            finally:
+                walks[0] -= 1
+
+        def meet(lattice, mask_j, mask_k):
+            full = (1 << lattice.s.rank) - 1
+            if walks[0] and mask_j | mask_k != full:  # not a widest pair
+                met.append((lattice, full, mask_j, mask_k))
+            return pair_holds(lattice, mask_j, mask_k)
+
+        monkeypatch.setattr(sggi, "_widest_holds", walk)
+        monkeypatch.setattr(sggi, "_pair_holds", meet)
+        for s in perturbed_simplices:
+            check_intersection_property(s, "naive")
+        failing = 0
+        for lattice, full, a, n in met:
+            j = n & ~a
+            assert j and not j & (j - 1)
+            failing += not pair_holds(lattice, full & ~j, n)
+        assert failing > 0
 
     @pytest.mark.parametrize("cap", [0, 2, 6, 12])
     def test_budget_raises_match_reference(self, perturbed_simplices,
