@@ -5,14 +5,16 @@ of the action on a block system and of its kernel, the L/C/R decomposition of
 the generator list, naming kernels inside (C2)^m, and the delta calculus for
 size-2 blocks (delta_i = (rho_i rho_{i+1})^3, recorded as a 0/1 vector over
 the path-ordered blocks together with the table of admissible named forms).
+The generators' images on a block system are computed once, into a
+SubsetLattice (block_lattice), as the group's subgroups are in the group's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import BlockSystem, PermError, PermGroup, Permutation
-from .sggi import IndexSet, Sggi
+from .perms import BlockSystem, PermError, Permutation
+from .sggi import IndexSet, Sggi, SubsetLattice
 
 
 class AnalysisError(ValueError):
@@ -30,22 +32,24 @@ class BlockActionResult:
     kernel_order: int
 
 
-def block_action(group: PermGroup, system: BlockSystem) -> BlockActionResult:
-    """Orders of the image on block indices and of the kernel (the
-    block-fixing subgroup).
+def block_lattice(s: Sggi, system: BlockSystem) -> SubsetLattice:
+    """The SubsetLattice of the generators' images on the block indices;
+    a mask picks the same generators in it as in the group's lattice."""
+    if s.degree != system.degree:
+        raise AnalysisError("sggi and block system degrees differ")
+    try:
+        return SubsetLattice([system.action_on_blocks(g) for g in s.gens])
+    except PermError as exc:
+        raise AnalysisError(f"block system not invariant: {exc}") from exc
 
-    The kernel order is |G| / |image| by the first isomorphism theorem.
-    """
-    if group.degree != system.degree:
-        raise AnalysisError("group and block system degrees differ")
-    images = []
-    for g in group.generators:
-        try:
-            images.append(system.action_on_blocks(g))
-        except PermError as exc:
-            raise AnalysisError(f"block system not invariant: {exc}") from exc
-    image_order = PermGroup(images, system.block_count).order()
-    return BlockActionResult(image_order, group.order() // image_order)
+
+def block_action(lattice, blocks, mask) -> BlockActionResult:
+    """Orders of the image on block indices and of the kernel (the
+    block-fixing subgroup) of <mask>, read off the group's lattice and its
+    block_lattice; the kernel order is |<mask>| / |image| (first
+    isomorphism theorem)."""
+    image_order = blocks.order(mask)
+    return BlockActionResult(image_order, lattice.order(mask) // image_order)
 
 
 def classify_kernel(result: BlockActionResult, m: int) -> str:
@@ -89,31 +93,24 @@ class LCRDecomposition:
         return (len(self.L), len(self.C), len(self.R))
 
 
-def lcr_decompose(s: Sggi, system: BlockSystem) -> LCRDecomposition:
-    """Deterministic L/C/R split of the generators against a block system.
+def lcr_decompose(s: Sggi, blocks: SubsetLattice) -> LCRDecomposition:
+    """Deterministic L/C/R split of the generators, given their block_lattice.
 
     L: greedy minimal independent set of block-action images (scan 0..r-1,
     keep when the image falls outside the span of earlier keepers, then
     prune right-to-left); C: generators commuting with every kept one;
-    R: the rest.
+    R: the rest.  Each span the scan tests extends the one before it.
     """
-    m = system.block_count
-    images = []
-    for g in s.gens:
-        try:
-            images.append(system.action_on_blocks(g))
-        except PermError as exc:
-            raise AnalysisError(f"block system not invariant: {exc}") from exc
-    kept = []
+    images = blocks.generators
+    kept = 0
     for idx in range(s.rank):
-        span = PermGroup([images[i] for i in kept], m)
-        if images[idx] not in span:
-            kept.append(idx)
-    for idx in sorted(kept, reverse=True):
-        others = [images[i] for i in kept if i != idx]
-        if images[idx] in PermGroup(others, m):
-            kept.remove(idx)
-    L = IndexSet(kept)
+        if not blocks.chain(kept).contains(images[idx]):
+            kept |= 1 << idx
+    for idx in reversed(range(s.rank)):
+        others = kept & ~(1 << idx)
+        if others != kept and blocks.chain(others).contains(images[idx]):
+            kept = others
+    L = IndexSet(i for i in range(s.rank) if kept >> i & 1)
     C = IndexSet(
         idx
         for idx in range(s.rank)
@@ -203,15 +200,17 @@ def kernel_vector(perm: Permutation, ordered_blocks) -> KernelVector:
 def block_path_order(s: Sggi, system: BlockSystem):
     """Blocks ordered along the block-action path.
 
-    Every generator with nontrivial block image must induce a transposition;
-    the union of those edges must be a path.  The first block is the
-    degree-1 endpoint whose incident edge label is smallest.
+    The blocks must have size two, every generator with nontrivial block
+    image must induce a transposition, and the union of those edges must be
+    a path.  The first block is the degree-1 endpoint whose incident edge
+    label is smallest.
     """
+    if system.block_size != 2:
+        raise AnalysisError("the block path needs blocks of size two")
     m = system.block_count
     adj = {i: [] for i in range(m)}
     for lbl, g in enumerate(s.gens):
-        act = system.action_on_blocks(g)
-        cycles = act.cycles()
+        cycles = system.action_on_blocks(g).cycles()
         if not cycles:
             continue
         if len(cycles) != 1 or len(cycles[0]) != 2:
@@ -237,41 +236,37 @@ def block_path_order(s: Sggi, system: BlockSystem):
     return [system.blocks[i] for i in order]
 
 
-def delta_vector(s: Sggi, i: int, system: BlockSystem):
-    """delta_i = (rho_i rho_{i+1})^3 as a kernel vector, or NOT_IN_KERNEL."""
+def delta_vector(s: Sggi, i: int, ordered):
+    """delta_i = (rho_i rho_{i+1})^3 on the path-ordered blocks, or
+    NOT_IN_KERNEL."""
     if not 1 <= i <= s.rank - 2:
         raise AnalysisError(f"delta index {i} outside 1..{s.rank - 2}")
-    if system.block_size != 2:
-        raise AnalysisError("delta calculus needs blocks of size two")
     delta = (s.gens[i] * s.gens[i + 1]) ** 3
-    ordered = block_path_order(s, system)
     try:
         return kernel_vector(delta, ordered)
     except AnalysisError:
         return NOT_IN_KERNEL
 
 
-def alpha_vector(s: Sggi, i: int, system: BlockSystem):
+def alpha_vector(s: Sggi, i: int, ordered):
     """Vector of alpha_i in rho_i = alpha_i beta_i, with beta_i the
-    row-paired swap of the path-adjacent blocks i, i+1 (1-based)."""
+    row-paired swap of the path-adjacent blocks i, i+1 (1-based).
+
+    ordered comes from block_path_order, which checked that every generator
+    moving a block swaps two blocks and fixes the rest, so g_i swaps blocks
+    i and i+1 exactly when it maps the left one onto the right one.
+    """
     if not 1 <= i <= s.rank - 1:
         raise AnalysisError(f"alpha index {i} outside 1..{s.rank - 1}")
-    if system.block_size != 2:
-        raise AnalysisError("alpha factorization needs blocks of size two")
-    ordered = block_path_order(s, system)
     left, right = ordered[i - 1], ordered[i]
-    beta = Permutation.from_cycles(
-        [[left[0], right[0]], [left[1], right[1]]], s.degree
-    )
-    act = system.action_on_blocks(s.gens[i])
-    cycles = act.cycles()
-    wanted = {system.blocks.index(left) + 1, system.blocks.index(right) + 1}
-    if len(cycles) != 1 or set(cycles[0]) != wanted:
+    if tuple(sorted(map(s.gens[i].apply, left))) != right:
         raise AnalysisError(
             f"generator {i} does not swap the path-adjacent blocks {i},{i + 1}"
         )
-    alpha = s.gens[i] * beta
-    return kernel_vector(alpha, ordered)
+    beta = Permutation.from_cycles(
+        [[left[0], right[0]], [left[1], right[1]]], s.degree
+    )
+    return kernel_vector(s.gens[i] * beta, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +344,7 @@ def _table3(r, i):
 __all__ = [
     "AnalysisError",
     "BlockActionResult",
+    "block_lattice",
     "block_action",
     "classify_kernel",
     "all_swap_permutation",

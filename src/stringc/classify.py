@@ -26,6 +26,7 @@ from .analysis import (
     all_swap_permutation,
     alpha_vector,
     block_action,
+    block_lattice,
     block_path_order,
     classify_kernel,
     delta_vector,
@@ -194,7 +195,7 @@ def verify_instance(family_id, params) -> VerificationReport:
 
     # The lattice extends its chains one generator at a time; the group's
     # chain is its chain of every generator.
-    lattice = SubsetLattice(s)
+    lattice = SubsetLattice(s.gens)
     full = (1 << s.rank) - 1
     group = PermGroup(list(s.gens), s.degree, chain=lattice.chain(full))
     order = group.order()
@@ -260,7 +261,7 @@ def verify_instance(family_id, params) -> VerificationReport:
         _verify_k2(report, expected, s, group, systems, n, build_params,
                    lattice)
     elif expected.get("blocks") == "m2":
-        _verify_m2(report, expected, s, group, n)
+        _verify_m2(report, expected, s, group, lattice)
 
     partner = duality_partner(family_id, n)
     dd = sggi_to_graph(dual(dual(s))) == graph
@@ -290,7 +291,8 @@ def _verify_k2(report, expected, s, group, systems, n, build_params,
         and columns in systems,
     )
 
-    res = block_action(group, columns)
+    blocks = block_lattice(s, columns)
+    res = block_action(lattice, blocks, (1 << s.rank) - 1)
     kclass = classify_kernel(res, m)
     _expect(report, "kernel_class", kclass != "OTHER", kernel_class=kclass,
             kernel_order=res.kernel_order)
@@ -305,7 +307,7 @@ def _verify_k2(report, expected, s, group, systems, n, build_params,
         _expect(report, "all_swap_member",
                 all_swap_permutation(columns) in group)
 
-    dec = lcr_decompose(s, columns)
+    dec = lcr_decompose(s, blocks)
     expected_sizes = expected["lcr"](s.rank)
     _expect(report, "lcr", dec.sizes() == expected_sizes,
             sizes=dec.sizes(), expected=expected_sizes)
@@ -314,25 +316,20 @@ def _verify_k2(report, expected, s, group, systems, n, build_params,
 
     if "kernel_g0" in expected:
         _verify_delta_calculus(report, expected, s, columns, m, build_params,
-                               lattice)
+                               lattice, blocks)
 
 
 def _verify_delta_calculus(report, expected, s, columns, m, build_params,
-                           lattice):
-    full = (1 << s.rank) - 1
-    g0 = PermGroup(list(s.gens[1:]), s.degree, chain=lattice.chain(full & ~1))
-    res0 = block_action(g0, columns)
+                           lattice, blocks):
+    res0 = block_action(lattice, blocks, (1 << s.rank) - 2)  # all but rho_0
     kclass0 = classify_kernel(res0, m)
     expected0 = expected["kernel_g0"]
     _expect(report, "kernel_g0", kclass0 == expected0,
             kernel_class=kclass0, expected=expected0)
 
-    deltas = {}
-    alphas = {}
-    for i in range(1, s.rank - 1):
-        deltas[i] = delta_vector(s, i, columns)
-        alphas[i] = alpha_vector(s, i, columns)
-    alphas[s.rank - 1] = alpha_vector(s, s.rank - 1, columns)
+    ordered = block_path_order(s, columns)
+    deltas = {i: delta_vector(s, i, ordered) for i in range(1, s.rank - 1)}
+    alphas = {i: alpha_vector(s, i, ordered) for i in range(1, s.rank)}
 
     in_kernel = all(v is not NOT_IN_KERNEL for v in deltas.values())
     _expect(report, "deltas_block_fixing", in_kernel)
@@ -369,28 +366,28 @@ def _verify_delta_calculus(report, expected, s, columns, m, build_params,
         window = expected["delta_window"](s.rank, build_params)
         _expect(report, "delta_window", nontrivial == window,
                 nontrivial=nontrivial, expected=window)
-    rho0 = kernel_vector_of_rho0(s, columns)
+    rho0 = kernel_vector_of_rho0(s, ordered)
     _expect(report, "rho0_vector", rho0 == expected["rho0"],
             rho0=rho0, expected=expected["rho0"])
 
 
-def kernel_vector_of_rho0(s, columns):
-    ordered = block_path_order(s, columns)
+def kernel_vector_of_rho0(s, ordered):
     try:
         return kernel_vector(s.gens[0], ordered).name
     except AnalysisError:
         return NOT_IN_KERNEL
 
 
-def _verify_m2(report, expected, s, group, n):
+def _verify_m2(report, expected, s, group, lattice):
     two = _two_block_system(group)
     _expect(report, "two_block_system", two is not None)
     if two is None:
         return
-    res = block_action(group, two)
+    blocks = block_lattice(s, two)
+    res = block_action(lattice, blocks, (1 << s.rank) - 1)
     _expect(report, "two_block_image", res.image_order == 2,
             image_order=res.image_order)
-    dec = lcr_decompose(s, two)
+    dec = lcr_decompose(s, blocks)
     expected_sizes = expected["lcr"](s.rank)
     _expect(report, "lcr", dec.sizes() == expected_sizes,
             sizes=dec.sizes(), expected=expected_sizes)

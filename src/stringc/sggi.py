@@ -130,7 +130,7 @@ def is_independent(s: Sggi, lattice=None) -> bool:
     A SubsetLattice passed in keeps the chains of the generator subsets for
     later intersection-property checks.
     """
-    lattice = lattice or SubsetLattice(s)
+    lattice = lattice or SubsetLattice(s.gens)
     r, full = s.rank, (1 << s.rank) - 1
     return not any(
         lattice.order(_interval_mask(0, i - 1))
@@ -170,7 +170,9 @@ _NAIVE_MAX_RANK = 12
 
 
 class SubsetLattice:
-    """Orders and pairwise meets of generator-subset subgroups, lazily built.
+    """Orders and pairwise meets of the subgroups that subsets of a
+    generator list generate, lazily built: the list is an sggi's generators
+    or their images on a block system, which may be the identity or repeat.
 
     Chains and orders are kept per mask and meets per unordered mask pair.
     The chain of <J>, for J of two or more generators, extends the chain of
@@ -179,25 +181,26 @@ class SubsetLattice:
     the naive and recursive checkers so verification builds it only once.
     """
 
-    def __init__(self, s: Sggi):
-        self.s = s
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+        self.degree = self.generators[0].degree
         self._chains = {}
         self._orders = {}
         self._elsets = {}
         self._pair_orders = {}
 
     def gens(self, mask):
-        return [self.s.gens[i] for i in range(self.s.rank) if mask >> i & 1]
+        return [g for i, g in enumerate(self.generators) if mask >> i & 1]
 
     def chain(self, mask):
         chain = self._chains.get(mask)
         if chain is None:
             if mask & (mask - 1) == 0:  # no generator or one
-                chain = StabilizerChain(self.gens(mask), self.s.degree)
+                chain = StabilizerChain(self.gens(mask), self.degree)
             else:
                 top = mask.bit_length() - 1
                 chain = StabilizerChain(
-                    [self.s.gens[top]], self.s.degree,
+                    [self.generators[top]], self.degree,
                     extends=self.chain(mask & ~(1 << top)))
             self._chains[mask] = chain
         return chain
@@ -214,7 +217,7 @@ class SubsetLattice:
         if mask not in self._elsets:
             self._elsets[mask] = frozenset(
                 g.images
-                for g in brute_force_elements(self.gens(mask), self.s.degree)
+                for g in brute_force_elements(self.gens(mask), self.degree)
             )
         return self._elsets[mask]
 
@@ -366,7 +369,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             f"naive oracle skipped: rank {s.rank} is over its cap of "
             f"{_NAIVE_MAX_RANK}"
         )
-    lattice = lattice or SubsetLattice(s)
+    lattice = lattice or SubsetLattice(s.gens)
     full = (1 << s.rank) - 1
     verdicts, walking = {}, set()
 
@@ -405,7 +408,7 @@ def _check_recursive(s: Sggi, lattice=None) -> IPResult:
     meet is past the orbit cap is passed over, so a later interval can
     still disprove the property; otherwise the check ends in a budget skip.
     """
-    lattice = lattice or SubsetLattice(s)
+    lattice = lattice or SubsetLattice(s.gens)
     for lo in range(s.rank - 1):
         if s.gens[lo] == s.gens[lo + 1]:
             return IPResult(False, (frozenset([lo]), frozenset([lo + 1])))

@@ -23,6 +23,8 @@ from stringc.ambients import named_ambient
 from stringc.analysis import (
     all_swap_permutation,
     block_action,
+    block_lattice,
+    block_path_order,
     classify_kernel,
     delta_vector,
     alpha_vector,
@@ -37,7 +39,13 @@ from stringc.classify import (
 from stringc.families import descriptor, instantiate_family
 from stringc.perms import BlockSystem, PermGroup, Permutation
 from stringc.prgraph import emit_dot, graph_to_sggi, parse_graph, sggi_to_graph
-from stringc.sggi import Sggi, SggiError, check_intersection_property, schlafli
+from stringc.sggi import (
+    Sggi,
+    SggiError,
+    SubsetLattice,
+    check_intersection_property,
+    schlafli,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -302,7 +310,9 @@ class TestCriterion6:
                     instantiate_family(fid, params)
                 )
                 group = PermGroup(list(s.gens), n)
-                res = block_action(group, columns)
+                res = block_action(SubsetLattice(s.gens),
+                                   block_lattice(s, columns),
+                                   (1 << s.rank) - 1)
                 kclass = classify_kernel(res, m)
                 wreath_order = (2**m) * res.image_order
                 if wreath_order % group.order():
@@ -330,8 +340,9 @@ class TestCriterion7:
             if table not in ("T6", "T7"):
                 continue
             s = graph_to_sggi(instantiate_family(fid, params))
-            deltas = {i: delta_vector(s, i, columns) for i in range(1, s.rank - 1)}
-            alphas = {i: alpha_vector(s, i, columns) for i in range(1, s.rank)}
+            path = block_path_order(s, columns)
+            deltas = {i: delta_vector(s, i, path) for i in range(1, s.rank - 1)}
+            alphas = {i: alpha_vector(s, i, path) for i in range(1, s.rank)}
             for i, vec in deltas.items():
                 cell = table3_cell(s.rank, i, alphas[i].form, alphas[i + 1].form)
                 if cell != vec.form:
@@ -351,7 +362,7 @@ class TestCriterion7:
                     violations.append((fid, params, "U count", u_at))
                 from stringc.classify import kernel_vector_of_rho0
 
-                rho0 = kernel_vector_of_rho0(s, columns)
+                rho0 = kernel_vector_of_rho0(s, path)
                 expected = descriptor(fid).expected["rho0"]
                 if rho0 != expected:
                     violations.append((fid, params, "rho0", rho0))

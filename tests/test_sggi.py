@@ -91,7 +91,7 @@ def ambient_sggis(draw):
 def reference_naive(s):
     """The naive oracle with every non-nested pair met directly, in the
     same increasing-bitmask order: the reference for the wider-pair scan."""
-    lattice = SubsetLattice(s)
+    lattice = SubsetLattice(s.gens)
     full = (1 << s.rank) - 1
     to_set = lambda m: frozenset(i for i in range(s.rank) if m >> i & 1)
     for mask_j in range(1, full + 1):
@@ -263,7 +263,7 @@ class TestIndependence:
         # The bound decides every generator of these instances, so the
         # lattice holds chains of intervals only: no <all but g_i> is built.
         s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
-        lattice = SubsetLattice(s)
+        lattice = SubsetLattice(s.gens)
         assert is_independent(s, lattice=lattice)
         for mask in lattice._chains:
             low = mask & -mask
@@ -274,7 +274,7 @@ class TestIndependence:
         # g_0 of T8#6 lies in <g_1..g_{r-1}>; the bound leaves it to the
         # chain, which finds it.
         s = graph_to_sggi(instantiate_family("T8#6", {"n": n}))
-        lattice = SubsetLattice(s)
+        lattice = SubsetLattice(s.gens)
         full = (1 << s.rank) - 1
         assert not is_independent(s, lattice=lattice)
         assert lattice.order(full & ~1) == lattice.order(full)
@@ -384,7 +384,7 @@ class TestNaiveWiderPairs:
     @pytest.mark.parametrize("family_id", ["T4#5", "T8#5", "T8#6", "T8#7"])
     def test_matches_reference_on_catalog(self, family_id):
         s = graph_to_sggi(instantiate_family(family_id, {"n": 14}))
-        lattice = SubsetLattice(s)
+        lattice = SubsetLattice(s.gens)
         got = check_intersection_property(s, "naive", lattice=lattice)
         want = reference_naive(s)
         assert (got.passed, got.witness) == (want.passed, want.witness)
@@ -426,7 +426,7 @@ class TestNaiveWiderPairs:
                 walks[0] -= 1
 
         def meet(lattice, mask_j, mask_k):
-            full = (1 << lattice.s.rank) - 1
+            full = (1 << len(lattice.generators)) - 1
             if walks[0] and mask_j | mask_k != full:  # not a widest pair
                 met.append((lattice, full, mask_j, mask_k))
             return pair_holds(lattice, mask_j, mask_k)
@@ -465,7 +465,7 @@ class TestNaiveWiderPairs:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            lattice = SubsetLattice(s)
+            lattice = SubsetLattice(s.gens)
             ref = weakref.ref(lattice)
             check_intersection_property(s, "naive", lattice=lattice)
             del lattice
@@ -487,7 +487,7 @@ class TestNaiveWiderPairs:
     def test_agrees_with_recursive_at_degree_16(self, family_id, params):
         s = graph_to_sggi(instantiate_family(family_id, params))
         assert s.degree == 16
-        lattice = SubsetLattice(s)
+        lattice = SubsetLattice(s.gens)
         recursive = check_intersection_property(s, "recursive", lattice=lattice)
         naive = check_intersection_property(s, "naive", lattice=lattice)
         assert naive.passed == recursive.passed
@@ -526,7 +526,7 @@ class TestIntersectionOrder:
         pairs = 0
         for _ in range(12):
             s = random_sggi(rng, rng.randint(4, 8), rng.randint(2, 4))
-            lattice = SubsetLattice(s)
+            lattice = SubsetLattice(s.gens)
             masks = range(1, 1 << s.rank)
             closures = {m: brute_force_elements(lattice.gens(m), s.degree)
                         for m in masks}
@@ -539,11 +539,43 @@ class TestIntersectionOrder:
                     pairs += 1
         assert pairs > 500
 
+    def test_generator_lists_with_identity_and_repeats(self):
+        # The lattice over a plain generator list, as analysis builds over
+        # block images: each list holds the identity and a repeated entry
+        # (T7's rho_0 is the all-swap, the identity on the columns).  Every
+        # mask's order and membership, and every pair's meet, against
+        # closure.
+        rng = random.Random(7)
+        for _ in range(30):
+            degree = rng.randint(3, 6)
+            points = list(range(degree))
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                rng.shuffle(points)
+                gens.append(Permutation(points))
+            gens.insert(rng.randint(0, len(gens)), Permutation.identity(degree))
+            gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+            lattice = SubsetLattice(gens)
+            assert lattice.degree == degree
+            masks = range(1 << len(gens))
+            closures = {m: brute_force_elements(lattice.gens(m), degree)
+                        for m in masks}
+            every = [Permutation(p)
+                     for p in itertools.permutations(range(degree))]
+            for m in masks:
+                assert lattice.order(m) == len(closures[m])
+                chain = lattice.chain(m)
+                assert {g for g in every if chain.contains(g)} == closures[m]
+            for j in masks:
+                for k in masks:
+                    assert lattice.intersection_order(j, k) == len(
+                        closures[j] & closures[k])
+
     def test_cap_raises_budget_exceeded(self, monkeypatch):
         monkeypatch.setattr("stringc.sggi._ORBIT_CAP", 0)
         s = simplex(5)
         with pytest.raises(IPBudgetExceeded, match="cap of 0"):
-            SubsetLattice(s).intersection_order(0b0011, 0b0110)
+            SubsetLattice(s.gens).intersection_order(0b0011, 0b0110)
         with pytest.raises(IPBudgetExceeded, match=r"interval \[0,2\]"):
             check_intersection_property(s, "recursive")
 
@@ -554,7 +586,7 @@ def test_lattice_orders_and_meets_match_closures(s, data):
     # Every mask, the empty one included, and every pair of masks; the
     # orders are asked in a drawn order, so chains are built, and extended
     # from their subsets' chains, in varying order.
-    lattice = SubsetLattice(s)
+    lattice = SubsetLattice(s.gens)
     masks = range(1 << s.rank)
     closures = {m: brute_force_elements(lattice.gens(m), s.degree)
                 for m in masks}
