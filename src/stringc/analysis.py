@@ -100,16 +100,27 @@ def lcr_decompose(s: Sggi, blocks: SubsetLattice) -> LCRDecomposition:
     keep when the image falls outside the span of earlier keepers, then
     prune right-to-left); C: generators commuting with every kept one;
     R: the rest.  Each span the scan tests extends the one before it.
+
+    The prune is skipped when every kept image is a single transposition,
+    as it would remove nothing.  Transpositions generate the product of the
+    symmetric groups on the components of their graph (the edges being the
+    transpositions), so a transposition lies in their span exactly when its
+    ends lie in one component.  The scan keeps an edge only when its ends
+    lie in different components of the edges kept before it, so the kept
+    edges form a forest; removing an edge from a forest separates its ends,
+    so no kept image lies in the span of the others.
     """
     images = blocks.generators
     kept = 0
     for idx in range(s.rank):
         if not blocks.chain(kept).contains(images[idx]):
             kept |= 1 << idx
-    for idx in reversed(range(s.rank)):
-        others = kept & ~(1 << idx)
-        if others != kept and blocks.chain(others).contains(images[idx]):
-            kept = others
+    if not all(images[i].cycle_type() == (2,) for i in range(s.rank)
+               if kept >> i & 1):
+        for idx in reversed(range(s.rank)):
+            others = kept & ~(1 << idx)
+            if others != kept and blocks.chain(others).contains(images[idx]):
+                kept = others
     L = IndexSet(i for i in range(s.rank) if kept >> i & 1)
     C = IndexSet(
         idx

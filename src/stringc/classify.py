@@ -104,18 +104,27 @@ def signature(s: Sggi) -> Signature:
 class VerificationReport:
     instance: str
     params: dict
-    checks: dict = field(default_factory=dict)
     schlafli: tuple = ()
     order: int = 0
     timing_ms: float = 0.0
+    # Check name -> (status, evidence), in the order recorded.
+    _checks: dict = field(default_factory=dict, init=False, repr=False)
 
     def record(self, name, status, **evidence):
-        self.checks[name] = {"status": status, "evidence": evidence}
+        self._checks[name] = (status, evidence)
+
+    @property
+    def checks(self):
+        """Check name -> {"status", "evidence"}, built afresh on each read
+        (each evidence dict a copy), so editing it leaves the report as it
+        was."""
+        return {name: {"status": status, "evidence": dict(evidence)}
+                for name, (status, evidence) in self._checks.items()}
 
     @property
     def passed(self):
         """No check failed; a skipped check does not count against."""
-        return all(c["status"] != "fail" for c in self.checks.values())
+        return all(status != "fail" for status, _ in self._checks.values())
 
     @property
     def status(self):
@@ -123,8 +132,8 @@ class VerificationReport:
         else PASS."""
         if not self.passed:
             return "FAIL"
-        ip = self.checks.get("intersection_property", {})
-        return "UNDECIDED" if ip.get("status") == "skip" else "PASS"
+        ip = self._checks.get("intersection_property", ("pass", None))
+        return "UNDECIDED" if ip[0] == "skip" else "PASS"
 
     def to_dict(self, no_timing=False):
         out = {

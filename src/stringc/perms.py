@@ -4,15 +4,18 @@ Permutations are stored as 0-based image tuples; all parsing and printing is
 1-based to match the usual cycle notation.  Groups carry a deterministic
 stabilizer chain (Schreier-Sims, smallest-moved-point-first base) giving exact
 orders, membership and coset orbits at the scales this package targets
-(degree <= ~64).  The order of a meet is read off a coset orbit; a group's
-elements are listed, where a caller needs them, by plain closure.  A chain
-stores the inverse of each transversal element beside it, and keeps the coset
-action it has worked out (numbered cosets and the moves between them) for its
-whole life, so meets that share the chain do not descend it again.  A chain
-of <H, g> may be built by extending a complete chain of H: the new chain
-starts from H's levels and transversals and sifts only the Schreier
-generators that H's chain has not already settled, each at most once per
-level.
+(degree <= ~64; a chain takes at most 256 points).  The order of a meet is
+read off a coset orbit; a group's elements are listed, where a caller needs
+them, by plain closure.  Inside a chain a permutation is the bytes of its
+images, and every product is one bytes.translate call through a 256-entry
+table: each generator's table and its inverse's are built once, and each
+transversal element is stored beside its inverse's table, so the chain never
+calls Permutation.inverse.  A chain keeps the coset action it has worked out
+(numbered cosets and the moves between them) for its whole life, so meets
+that share the chain do not descend it again.  A chain of <H, g> may be built
+by extending a complete chain of H: the new chain starts from H's levels,
+transversals and generator tables and sifts only the Schreier generators
+that H's chain has not already settled, each at most once per level.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ class Permutation:
         return result
 
     def inverse(self):
-        """The inverse; an involution or the identity returns itself, so a
-        stored inverse transversal holds most elements only once."""
+        """The inverse; an involution or the identity returns itself.
+        StabilizerChain keeps inverse tables of its own and never calls
+        this."""
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
@@ -195,13 +199,21 @@ def parse_perm(text, degree):
     return Permutation.from_cycles(cycles, degree)
 
 
+# bytes.translate maps each byte through a 256-entry table, so a chain's
+# permutations are bytes of length n <= 256: x.translate(table of g) is the
+# product x * g, a table being g's images padded with the fixed points n..255.
+_TABLE_IDENTITY = bytes(range(256))
+
+
 class _Level:
     """One stabilizer-chain level: base point, home generators, transversal.
 
     A generator's home level is the first level whose base point it moves;
     the group at level i is generated by the home generators of levels >= i.
-    inverse[b] is the inverse of transversal[b], kept so that sifting and
-    Schreier generators never invert the same element twice.
+    transversal[b] holds the images of a transversal element as bytes, and
+    inverse[b] its inverse as a 256-entry bytes.translate table, kept so
+    that sifting and Schreier generators never invert the same element
+    twice.
 
     While a chain is built, known holds a transversal, its inverses and a
     set of generator images such that every Schreier generator of that
@@ -213,8 +225,8 @@ class _Level:
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
-        self.transversal = {point: Permutation.identity(degree)}
-        self.inverse = dict(self.transversal)
+        self.transversal = {point: _TABLE_IDENTITY[:degree]}
+        self.inverse = {point: _TABLE_IDENTITY}
         self.known = (self.transversal, self.inverse, frozenset())
 
     def extension(self, gens):
@@ -233,28 +245,37 @@ class _Level:
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims chain.
+    """Deterministic Schreier-Sims chain on at most 256 points.
 
     A new level takes the smallest point moved by the residue that forced it.
     Given `extends`, a complete chain of some group H, the chain is built for
     <H, generators> by adding the generators to a copy of H's levels (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.4);
-    the chain extended is left as it was.
+    the chain extended is left as it was.  Inside the chain a permutation is
+    the bytes of its images, and products, sifts and coset names are
+    bytes.translate calls.
     """
 
     def __init__(self, generators, degree, extends=None):
+        if degree > 256:
+            raise PermError(f"a stabilizer chain takes at most 256 points, "
+                            f"not {degree}")
         self.degree = degree
+        self._identity = _TABLE_IDENTITY[:degree]
+        self._tail = _TABLE_IDENTITY[degree:]
+        # Per generator's images: its translate table and its inverse's,
+        # shared with the chains that extend this one.
+        self._tables = {} if extends is None else extends._tables
         self.levels = [] if extends is None else [
             lvl.extension(extends._gens_at(i))
             for i, lvl in enumerate(extends.levels)]
         self._coset_levels = None
         # The coset action, memoised for the chain's life: canonical
-        # representatives numbered in order of discovery (0 is this group's
-        # own coset), and per generator's images a step (images, move table,
-        # whether the generator is an involution), where the move table
-        # holds the number each coset moves to, -1 until the move is first
-        # taken.  Representatives are packed as array("I") bytes, under two
-        # thirds of an image tuple's memory.
+        # representatives (as bytes) numbered in order of discovery (0 is
+        # this group's own coset), and per generator's images a step (its
+        # table, move table, whether the generator squares to the
+        # identity), where the move table holds the number each coset moves
+        # to, -1 until the move is first taken.
         self._reps = []
         self._rep_number = {}
         self._moves = {}
@@ -271,6 +292,17 @@ class StabilizerChain:
         for lvl in self.levels:
             lvl.known = None  # needed only while the chain is built
 
+    def _table(self, g):
+        """g's translate table and its inverse's, built once per generator."""
+        tables = self._tables.get(g.images)
+        if tables is None:
+            images = g.images
+            tables = self._tables[images] = (
+                bytes(images) + self._tail,
+                bytes(sorted(range(self.degree), key=images.__getitem__))
+                + self._tail)
+        return tables
+
     def _home_level(self, g, start):
         """First level at or past start whose point g moves; creates levels."""
         d = start
@@ -285,12 +317,15 @@ class StabilizerChain:
     def _gens_at(self, level):
         return [g for lvl in self.levels[level:] for g in lvl.gens]
 
-    def _rebuild_transversal(self, level, gens):
-        """Extend the level's known transversal to the orbit of gens.
+    def _rebuild_transversal(self, level, tables):
+        """Extend the level's known transversal to the orbit of the
+        generators whose _table pairs are given.
 
         The BFS runs in sorted order, which keeps the transversal
         deterministic.  Returns the tree edges: the pairs (a, j) that
-        defined transversal[a^g] = transversal[a] * g for g = gens[j].
+        defined transversal[a^g] = transversal[a] * g for the generator g
+        of tables[j].  The inverse of t * g is g^-1 * t^-1, one translate
+        of g^-1's table.
         """
         lvl = self.levels[level]
         transversal, inverse = dict(lvl.known[0]), dict(lvl.known[1])
@@ -301,11 +336,11 @@ class StabilizerChain:
             nxt = []
             for a in frontier:
                 t = transversal[a]
-                for j, g in enumerate(gens):
-                    b = g.images[a]
+                for j, (table, inverse_table) in enumerate(tables):
+                    b = table[a]
                     if b not in transversal:
-                        transversal[b] = tb = t * g
-                        inverse[b] = tb.inverse()
+                        transversal[b] = t.translate(table)
+                        inverse[b] = inverse_table.translate(inverse[a])
                         tree.add((a, j))
                         nxt.append(b)
             frontier = nxt
@@ -331,14 +366,16 @@ class StabilizerChain:
         # generator, so it lies in the group of the levels past this one,
         # which only grows.  A skipped generator would sift to the identity,
         # so the chain is the one a build without these skips gives.
-        identity = _IDENTITY[self.degree]
+        identity = self._identity
         sifted = {}  # Schreier generator images -> deepest level sifted at
         i = start
         while i >= 0:
             lvl = self.levels[i]
             gens_i = self._gens_at(i)
-            tree = self._rebuild_transversal(i, gens_i)
+            tables = [self._table(g) for g in gens_i]
+            tree = self._rebuild_transversal(i, tables)
             known_orbit, _, known_images = lvl.known
+            inverse = lvl.inverse
             every = range(len(gens_i))
             fresh = [j for j in every if gens_i[j].images not in known_images]
             home = None
@@ -347,16 +384,14 @@ class StabilizerChain:
                 for j in fresh if a in known_orbit else every:
                     if (a, j) in tree:
                         continue
-                    gen = gens_i[j].images
-                    # t_a * g * t_(a^g)^-1, composed on images in one pass.
-                    schreier = tuple(map(lvl.inverse[gen[a]].images.__getitem__,
-                                         map(gen.__getitem__, t.images)))
+                    table = tables[j][0]
+                    schreier = t.translate(table).translate(inverse[table[a]])
                     if sifted.get(schreier, -1) >= i:
                         continue
                     sifted[schreier] = i
                     residue = self._sift(schreier, i + 1)
                     if residue != identity:
-                        residue = Permutation._raw(residue)
+                        residue = Permutation._raw(tuple(residue))
                         home = self._home_level(residue, i + 1)
                         self.levels[home].gens.append(residue)
                         break
@@ -370,19 +405,19 @@ class StabilizerChain:
                 i -= 1
 
     def _sift(self, images, start):
-        """Strip a permutation, given by its images, through the levels from
-        start on; returns the residue's images."""
+        """Strip a permutation, given by the bytes of its images, through
+        the levels from start on; returns the residue's images."""
         for lvl in self.levels[start:]:
             image = images[lvl.point]
             if image != lvl.point:
                 t_inv = lvl.inverse.get(image)
                 if t_inv is None:
                     break
-                images = tuple(map(t_inv.images.__getitem__, images))
+                images = images.translate(t_inv)
         return images
 
     def contains(self, g):
-        return self._sift(g.images, 0) == _IDENTITY[self.degree]
+        return self._sift(bytes(g.images), 0) == self._identity
 
     def order(self):
         n = 1
@@ -402,8 +437,8 @@ class StabilizerChain:
         Theory, 2005, 4.6).  The search runs on coset numbers; a move
         (coset, generator) is descended once per chain and then looked up,
         which is exact because G*x*g depends on the coset G*x alone.  For an
-        involution g, G*x*g = G*y gives G*y*g = G*x, so each descent records
-        the reverse move too.
+        involution g (g's table equal to its inverse's), G*x*g = G*y gives
+        G*y*g = G*x, so each descent records the reverse move too.
 
         bound, if given, is an upper bound on the orbit's size that the
         caller knows, such as |S| / |T| for a subgroup T of S meet G: the
@@ -415,32 +450,31 @@ class StabilizerChain:
             return 1
         if self._coset_levels is None:
             # Per level: the images of x on the orbit, the base point, and
-            # the products t_a * x; itemgetters keep the descent in C.
+            # the transversal; t_a * x is t_a translated by x's table.
             self._coset_levels = [
-                (itemgetter(*lvl.transversal), lvl.point,
-                 {a: itemgetter(*t.images) for a, t in lvl.transversal.items()})
+                (itemgetter(*lvl.transversal), lvl.point, lvl.transversal)
                 for lvl in self.levels
                 if len(lvl.transversal) > 1
             ]
-            self._number(_IDENTITY[self.degree])
+            self._number(self._identity)
         reps, moves = self._reps, self._moves
         steps = []
         for g in generators:
             step = moves.get(g.images)
             if step is None:
+                table, inverse_table = self._table(g)
                 step = moves[g.images] = (
-                    g.images, array("i", [-1]) * len(reps), g.is_involution())
+                    table, array("i", [-1]) * len(reps), table == inverse_table)
             steps.append(step)
         seen = {0}
         frontier = [0]
         while frontier:
             found = []
             for x in frontier:
-                for g, move, involution in steps:
+                for table, move, involution in steps:
                     y = move[x]
                     if y < 0:
-                        y = move[x] = self._number(
-                            tuple(map(g.__getitem__, array("I", reps[x]))))
+                        y = move[x] = self._number(reps[x].translate(table))
                         if involution:
                             move[y] = x
                     if y not in seen:
@@ -452,16 +486,15 @@ class StabilizerChain:
         return len(seen)
 
     def _number(self, images):
-        """Number of the coset G*x, x given by its images; new cosets get
-        the next number."""
-        for on_orbit, point, times in self._coset_levels:
+        """Number of the coset G*x, x given by the bytes of its images; new
+        cosets get the next number."""
+        for on_orbit, point, transversal in self._coset_levels:
             a = images.index(min(on_orbit(images)))
             if a != point:
-                images = times[a](images)
-        rep = array("I", images).tobytes()
-        number = self._rep_number.setdefault(rep, len(self._reps))
+                images = transversal[a].translate(images + self._tail)
+        number = self._rep_number.setdefault(images, len(self._reps))
         if number == len(self._reps):
-            self._reps.append(rep)
+            self._reps.append(images)
             for _, move, _ in self._moves.values():
                 move.append(-1)
         return number

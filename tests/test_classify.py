@@ -23,6 +23,7 @@ from stringc.classify import (
     exhaustive_search,
     reports_to_json,
     signature,
+    VerificationReport,
     verify_catalog,
     verify_instance,
 )
@@ -169,6 +170,22 @@ class TestVerifyInstance:
         assert all(
             set(c) == {"status", "evidence"} for c in entry["checks"].values()
         )
+
+    def test_editing_checks_leaves_the_report(self):
+        # checks is built afresh from the recorded (status, evidence) pairs
+        # on each read, so a caller's edits do not reach the report.
+        rep = VerificationReport(instance="T8#5", params={"n": 14})
+        rep.record("rank", "pass", rank=7)
+        rep.record("intersection_property", "fail", witness=[[0, 1], [1, 2]])
+        before = rep.to_dict(no_timing=True)
+        checks = rep.checks
+        checks["intersection_property"]["status"] = "pass"
+        checks["rank"]["evidence"]["rank"] = 8
+        checks["naive_oracle"] = {"status": "skip", "evidence": {}}
+        assert rep.to_dict(no_timing=True) == before
+        assert rep.status == "FAIL" and not rep.passed
+        del rep.checks["intersection_property"]
+        assert rep.checks == before["checks"]
 
     def test_m2_table_defects_reported(self):
         # The tabulated constructions T8#5, T8#6, T8#7 are not string

@@ -115,6 +115,8 @@ class TestVerifyCommand:
         (["--n", "14", "--all", "--i", "2"], "verify --all takes no --i or --x"),
         (["--n", "14", "--all", "--x", "1"], "verify --all takes no --i or --x"),
         (["--n", "3", "--all"], "no catalog family has an instance on 3 points"),
+        (["T5#13", "--n", "258"],
+         "a stabilizer chain takes at most 256 points, not 258"),
     ])
     def test_bad_parameters_exit_2(self, argv, message, capsys):
         code, text = run(["verify", "--no-timing"] + argv)

@@ -50,6 +50,38 @@ def random_perm(rng, n):
     return Permutation(images)
 
 
+def random_parts(rng):
+    """A partition of 8 to 12 points, shuffled, into parts of one to five
+    points, at least one of three or more, whose symmetric groups multiply
+    to at most 20,000 elements: closure lists any group fixing every part."""
+    while True:
+        n = rng.randint(8, 12)
+        points = list(range(n))
+        rng.shuffle(points)
+        parts = []
+        while points:
+            size = rng.randint(1, 5)
+            parts.append(points[:size])
+            points = points[size:]
+        sizes = [len(part) for part in parts]
+        if max(sizes) >= 3 and math.prod(map(math.factorial, sizes)) <= 20000:
+            return n, parts
+
+
+def random_part_perm(rng, n, parts):
+    """A random permutation of order above 2 mapping each part onto itself."""
+    while True:
+        images = list(range(n))
+        for part in parts:
+            moved = part[:]
+            rng.shuffle(moved)
+            for a, b in zip(part, moved):
+                images[a] = b
+        g = Permutation(images)
+        if g.order() > 2:
+            return g
+
+
 class TestParse:
     def test_disjoint_transpositions(self):
         p = parse_perm("(1,2)(3,4)", 4)
@@ -229,6 +261,41 @@ class TestMembership:
                 assert (p in group) == (p in elements)
         assert outsiders > 100
 
+    def test_non_involution_groups_up_to_degree_12(self):
+        # Degree 8 to 12, each generator of order above 2 and fixing every
+        # part of a shuffled partition, so chains run several levels deep
+        # on base points that are rarely least.
+        rng = random.Random(57)
+        outsiders = 0
+        for _ in range(8):
+            n, parts = random_parts(rng)
+            gens = [random_part_perm(rng, n, parts)
+                    for _ in range(rng.randint(2, 3))]
+            group = PermGroup(gens, n)
+            elements = brute_force_elements(gens, n)
+            assert group.order() == len(elements)
+            assert all(g in group for g in elements)
+            for _ in range(60):
+                p = random_part_perm(rng, n, parts)
+                outsiders += p not in elements
+                assert (p in group) == (p in elements)
+        assert outsiders > 100
+
+
+class TestDegreeCap:
+    # A chain composes through bytes.translate, whose tables hold 256
+    # entries.
+    def test_chain_on_256_points(self):
+        cycle = Permutation(list(range(1, 256)) + [0])
+        chain = StabilizerChain([cycle], 256)
+        assert chain.order() == 256
+        assert chain.contains(cycle**7)
+        assert not chain.contains(parse_perm("(1,2)", 256))
+
+    def test_257_points_rejected(self):
+        with pytest.raises(PermError, match="at most 256 points"):
+            StabilizerChain([Permutation(list(range(1, 257)) + [0])], 257)
+
 
 class TestTransitivity:
     def test_transitive(self):
@@ -367,6 +434,28 @@ class TestCosetOrbit:
                 sizes.add(orbit)
         assert len(sizes) > 10
 
+    def test_one_chain_answers_many_subgroups_up_to_degree_12(self):
+        # As above, on pools of non-involutions that fix every part of a
+        # shuffled partition of 8 to 12 points.
+        rng = random.Random(45)
+        sizes = set()
+        for _ in range(4):
+            n, parts = random_parts(rng)
+            pool = [random_part_perm(rng, n, parts) for _ in range(3)]
+            g_gens = rng.sample(pool, rng.randint(1, 2))
+            g_elements = brute_force_elements(g_gens, n)
+            chain = StabilizerChain(g_gens, n)
+            queries = [[a] for a in pool] + [
+                [pool[i], pool[j]] for i in range(3) for j in range(3) if i != j
+            ]
+            rng.shuffle(queries)
+            for s_gens in queries:
+                s_elements = brute_force_elements(s_gens, n)
+                orbit = chain.coset_orbit_size(s_gens)
+                assert orbit == len(s_elements) // len(s_elements & g_elements)
+                sizes.add(orbit)
+        assert len(sizes) > 5
+
     def test_pools_mixing_involutions(self):
         # Involutions record each move both ways; a non-involution must not.
         # One chain is asked about subgroups of a pool of both kinds in a
@@ -446,6 +535,45 @@ class TestChainExtension:
                 orbit = len(s_elements) // len(s_elements & elements)
                 assert extended.coset_orbit_size(s_gens) == orbit
                 assert scratch.coset_orbit_size(s_gens) == orbit
+
+    def test_extended_chain_up_to_degree_12(self):
+        # As above, on non-involutions that fix every part of a shuffled
+        # partition of 8 to 12 points.
+        rng = random.Random(63)
+        for _ in range(6):
+            n, parts = random_parts(rng)
+            pool = [random_part_perm(rng, n, parts)
+                    for _ in range(rng.randint(2, 4))]
+            cut = rng.randint(1, len(pool) - 1)
+            base = StabilizerChain(pool[:cut], n)
+            extended = StabilizerChain(pool[cut:], n, extends=base)
+            scratch = StabilizerChain(pool, n)
+            elements = brute_force_elements(pool, n)
+            assert extended.order() == scratch.order() == len(elements)
+            for _ in range(30):
+                p = random_part_perm(rng, n, parts)
+                assert extended.contains(p) == scratch.contains(p) == (
+                    p in elements)
+            s_gens = [random_part_perm(rng, n, parts)]
+            s_elements = brute_force_elements(s_gens, n)
+            orbit = len(s_elements) // len(s_elements & elements)
+            assert extended.coset_orbit_size(s_gens) == orbit
+            assert scratch.coset_orbit_size(s_gens) == orbit
+
+    def test_extension_shares_generator_tables(self):
+        # Each generator's translate tables are built once and read by
+        # every chain that extends the chain that built them.
+        rng = random.Random(65)
+        n, parts = random_parts(rng)
+        pool = [random_part_perm(rng, n, parts) for _ in range(3)]
+        base = StabilizerChain(pool[:2], n)
+        tables = {g.images: base._table(g) for g in pool[:2]}
+        extended = StabilizerChain(pool[2:], n, extends=base)
+        again = StabilizerChain([], n, extends=extended)
+        for g in pool[:2]:
+            assert extended._table(g) is tables[g.images]
+            assert again._table(g) is tables[g.images]
+        assert again._table(pool[2]) is extended._table(pool[2])
 
     def test_extension_of_an_extension(self):
         # Generators added one at a time, as SubsetLattice adds them; the
