@@ -100,31 +100,33 @@ def signature(s: Sggi) -> Signature:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     instance: str
     params: dict
     schlafli: tuple = ()
     order: int = 0
     timing_ms: float = 0.0
-    # Check name -> (status, evidence), in the order recorded.
+    # Check name -> (status, key, value, key, value, ...), one flat tuple
+    # per check in the order recorded, the evidence's items after the
+    # status: a report costs a few small objects per check.
     _checks: dict = field(default_factory=dict, init=False, repr=False)
 
     def record(self, name, status, **evidence):
-        self._checks[name] = (status, evidence)
+        self._checks[name] = sum(evidence.items(), (status,))
 
     @property
     def checks(self):
-        """Check name -> {"status", "evidence"}, built afresh on each read
-        (each evidence dict a copy), so editing it leaves the report as it
-        was."""
-        return {name: {"status": status, "evidence": dict(evidence)}
-                for name, (status, evidence) in self._checks.items()}
+        """Check name -> {"status", "evidence"}, built afresh on each read,
+        so editing it leaves the report as it was."""
+        return {name: {"status": check[0],
+                       "evidence": dict(zip(check[1::2], check[2::2]))}
+                for name, check in self._checks.items()}
 
     @property
     def passed(self):
         """No check failed; a skipped check does not count against."""
-        return all(status != "fail" for status, _ in self._checks.values())
+        return all(check[0] != "fail" for check in self._checks.values())
 
     @property
     def status(self):
@@ -132,7 +134,7 @@ class VerificationReport:
         else PASS."""
         if not self.passed:
             return "FAIL"
-        ip = self._checks.get("intersection_property", ("pass", None))
+        ip = self._checks.get("intersection_property", ("pass",))
         return "UNDECIDED" if ip[0] == "skip" else "PASS"
 
     def to_dict(self, no_timing=False):

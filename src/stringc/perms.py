@@ -15,7 +15,11 @@ calls Permutation.inverse.  A chain keeps the coset action it has worked out
 that share the chain do not descend it again.  A chain of <H, g> may be built
 by extending a complete chain of H: the new chain starts from H's levels,
 transversals and generator tables and sifts only the Schreier generators
-that H's chain has not already settled, each at most once per level.
+that H's chain has not already settled, each at most once per level, or
+none when its basic orbits multiply to a bound on |<H, g>| that the caller
+knows.  A coset is named by the inverse of its canonical element, found
+with one translate per level, and a coset orbit whose size is known to
+divide a bound stops as soon as Lagrange's theorem settles it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from operator import itemgetter
 
 
 class PermError(ValueError):
@@ -210,37 +213,42 @@ class _Level:
 
     A generator's home level is the first level whose base point it moves;
     the group at level i is generated by the home generators of levels >= i.
+    tables holds the _table pair of each home generator, in the order of
+    gens, so a level's list changes only when a generator is added to it.
     transversal[b] holds the images of a transversal element as bytes, and
     inverse[b] its inverse as a 256-entry bytes.translate table, kept so
     that sifting and Schreier generators never invert the same element
     twice.
 
     While a chain is built, known holds a transversal, its inverses and a
-    set of generator images such that every Schreier generator of that
+    set of generator tables such that every Schreier generator of that
     transversal and those generators is known to sift to the identity.
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverse", "known")
+    __slots__ = ("point", "gens", "tables", "transversal", "inverse", "known")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
+        self.tables = []
         self.transversal = {point: _TABLE_IDENTITY[:degree]}
         self.inverse = {point: _TABLE_IDENTITY}
         self.known = (self.transversal, self.inverse, frozenset())
 
-    def extension(self, gens):
+    def extension(self, tables):
         """A twin for a chain that extends this level's complete chain, with
-        gens the generators of this level's group.  The twin has its own
-        gens list and shares the transversal dicts, which
-        _rebuild_transversal replaces and never mutates."""
+        tables the _table pairs of the generators of this level's group.
+        The twin has its own gens and tables lists and shares the
+        transversal dicts, which _rebuild_transversal replaces and never
+        mutates."""
         twin = _Level.__new__(_Level)
         twin.point = self.point
         twin.gens = list(self.gens)
+        twin.tables = list(self.tables)
         twin.transversal = self.transversal
         twin.inverse = self.inverse
         twin.known = (self.transversal, self.inverse,
-                      {g.images for g in gens})
+                      {table for table, _ in tables})
         return twin
 
 
@@ -254,9 +262,20 @@ class StabilizerChain:
     the chain extended is left as it was.  Inside the chain a permutation is
     the bytes of its images, and products, sifts and coset names are
     bytes.translate calls.
+
+    bound, if given, is an upper bound on the order of the group the chain
+    is built for.  With G_i the group the generators of levels >= i
+    generate, the generators of deeper levels fix the base points b_0..b_i,
+    so G_(i+1) <= Stab_(G_i)(b_i) and |G_i| >= |b_i^G_i| * |G_(i+1)|, with
+    equality exactly when G_(i+1) is that whole stabilizer.  So the basic
+    orbits multiply to at most |G|, and to |G| only when every level is
+    complete.  The build rebuilds the transversals, the basic orbits, first:
+    if their sizes multiply to bound, the chain is complete with no
+    Schreier generator sifted, and it is the chain a full verification
+    builds, as that would find no residue and keep these transversals.
     """
 
-    def __init__(self, generators, degree, extends=None):
+    def __init__(self, generators, degree, extends=None, bound=None):
         if degree > 256:
             raise PermError(f"a stabilizer chain takes at most 256 points, "
                             f"not {degree}")
@@ -267,28 +286,28 @@ class StabilizerChain:
         # shared with the chains that extend this one.
         self._tables = {} if extends is None else extends._tables
         self.levels = [] if extends is None else [
-            lvl.extension(extends._gens_at(i))
+            lvl.extension(extends._tables_at(i))
             for i, lvl in enumerate(extends.levels)]
         self._coset_levels = None
-        # The coset action, memoised for the chain's life: canonical
-        # representatives (as bytes) numbered in order of discovery (0 is
-        # this group's own coset), and per generator's images a step (its
-        # table, move table, whether the generator squares to the
-        # identity), where the move table holds the number each coset moves
-        # to, -1 until the move is first taken.
+        # The coset action, memoised for the chain's life: each coset G*x
+        # named by the images of the inverse of its canonical element x, as
+        # degree-length bytes, and numbered in order of discovery (0 is this
+        # group's own coset); and per generator's images a step (its
+        # inverse's images, move table, whether the generator squares to
+        # the identity), where the move table holds the number each coset
+        # moves to, -1 until the move is first taken.
         self._reps = []
         self._rep_number = {}
         self._moves = {}
         deepest = -1
         for g in generators:
             if not g.is_identity():
-                home = self._home_level(g, 0)
-                self.levels[home].gens.append(g)
+                home = self._add(g, 0)
                 deepest = max(deepest, home)
         # Levels past the deepest home are complete already: no new
         # generator lies in their groups.
         if deepest >= 0:
-            self._complete(deepest)
+            self._complete(deepest, bound)
         for lvl in self.levels:
             lvl.known = None  # needed only while the chain is built
 
@@ -303,19 +322,24 @@ class StabilizerChain:
                 + self._tail)
         return tables
 
-    def _home_level(self, g, start):
-        """First level at or past start whose point g moves; creates levels."""
+    def _add(self, g, start):
+        """Make g a home generator of the first level at or past start whose
+        point it moves, creating levels; returns that level's index."""
         d = start
         while True:
             if d == len(self.levels):
                 point = next(i for i, j in enumerate(g.images) if i != j)
                 self.levels.append(_Level(point, self.degree))
-            if g.images[self.levels[d].point] != self.levels[d].point:
+            lvl = self.levels[d]
+            if g.images[lvl.point] != lvl.point:
+                lvl.gens.append(g)
+                lvl.tables.append(self._table(g))
                 return d
             d += 1
 
-    def _gens_at(self, level):
-        return [g for lvl in self.levels[level:] for g in lvl.gens]
+    def _tables_at(self, level):
+        """The _table pairs of the generators of the group at level."""
+        return [t for lvl in self.levels[level:] for t in lvl.tables]
 
     def _rebuild_transversal(self, level, tables):
         """Extend the level's known transversal to the orbit of the
@@ -347,7 +371,7 @@ class StabilizerChain:
         lvl.transversal, lvl.inverse = transversal, inverse
         return tree
 
-    def _complete(self, start):
+    def _complete(self, start, bound=None):
         # Bottom-up verification from level start, past which every level is
         # complete: a level is complete when all its Schreier generators
         # sift to identity through the (already complete) deeper levels.
@@ -366,18 +390,30 @@ class StabilizerChain:
         # generator, so it lies in the group of the levels past this one,
         # which only grows.  A skipped generator would sift to the identity,
         # so the chain is the one a build without these skips gives.
+        #
+        # Given a bound on the group's order, every transversal is rebuilt
+        # first, and the chain is complete if their sizes multiply to it
+        # (see the class docstring).  Otherwise verification reuses those
+        # transversals until the first residue changes the generators.
         identity = self._identity
+        trees = {}  # level -> tree edges of a transversal rebuilt in advance
+        if bound is not None:
+            for i in range(start, -1, -1):
+                trees[i] = self._rebuild_transversal(i, self._tables_at(i))
+            if self.order() == bound:
+                return
         sifted = {}  # Schreier generator images -> deepest level sifted at
         i = start
         while i >= 0:
             lvl = self.levels[i]
-            gens_i = self._gens_at(i)
-            tables = [self._table(g) for g in gens_i]
-            tree = self._rebuild_transversal(i, tables)
-            known_orbit, _, known_images = lvl.known
+            tables = self._tables_at(i)
+            tree = trees.pop(i, None)
+            if tree is None:
+                tree = self._rebuild_transversal(i, tables)
+            known_orbit, _, known_tables = lvl.known
             inverse = lvl.inverse
-            every = range(len(gens_i))
-            fresh = [j for j in every if gens_i[j].images not in known_images]
+            every = range(len(tables))
+            fresh = [j for j in every if tables[j][0] not in known_tables]
             home = None
             for a in sorted(lvl.transversal):
                 t = lvl.transversal[a]
@@ -391,9 +427,8 @@ class StabilizerChain:
                     sifted[schreier] = i
                     residue = self._sift(schreier, i + 1)
                     if residue != identity:
-                        residue = Permutation._raw(tuple(residue))
-                        home = self._home_level(residue, i + 1)
-                        self.levels[home].gens.append(residue)
+                        home = self._add(Permutation._raw(tuple(residue)), i + 1)
+                        trees.clear()
                         break
                 if home is not None:
                     break
@@ -401,7 +436,7 @@ class StabilizerChain:
                 i = home
             else:
                 lvl.known = (lvl.transversal, lvl.inverse,
-                             {g.images for g in gens_i})
+                             {table for table, _ in tables})
                 i -= 1
 
     def _sift(self, images, start):
@@ -430,29 +465,39 @@ class StabilizerChain:
 
         They form the orbit of the coset G under right multiplication by
         S = <generators>, so there are |S| / |S meet G| of them; no element
-        of either group is listed.  A coset is named by its
+        of either group is listed.  A coset is named by the inverse of its
         canonical representative: descending the chain, each level keeps
         the transversal element that gives the least image of the level's
         base point (Holt, Eick and O'Brien, Handbook of Computational Group
-        Theory, 2005, 4.6).  The search runs on coset numbers; a move
-        (coset, generator) is descended once per chain and then looked up,
-        which is exact because G*x*g depends on the coset G*x alone.  For an
-        involution g (g's table equal to its inverse's), G*x*g = G*y gives
-        G*y*g = G*x, so each descent records the reverse move too.
+        Theory, 2005, 4.6).  On x's inverse that is one translate per
+        level: deleting the points off the level's orbit from x^-1's images
+        leaves the orbit points in the order of their images under x, so
+        the first is the point a whose image is least, and t_a * x has
+        inverse x^-1 * t_a^-1, x^-1 translated by t_a's inverse table.
+        The search runs on coset numbers; a move (coset, generator) is
+        descended once per chain and then looked up, which is exact because
+        G*x*g depends on the coset G*x alone; (x*g)^-1 = g^-1 * x^-1 is g's
+        inverse translated by x^-1.  For an involution g (g's table equal to
+        its inverse's), G*x*g = G*y gives G*y*g = G*x, so each descent
+        records the reverse move too.
 
-        bound, if given, is an upper bound on the orbit's size that the
-        caller knows, such as |S| / |T| for a subgroup T of S meet G: the
-        search stops once it has found that many cosets, which proves the
-        orbit complete.  A search cut short records only true moves, so
-        later queries on the chain stay exact.
+        bound, if given, is a number that the caller knows the orbit's size
+        divides, such as |S| / |T| for a subgroup T of S meet G (the orbit
+        has |S| / |S meet G| cosets, and |T| divides |S meet G|).  With p
+        the least prime factor of bound, a divisor of bound over bound / p
+        is bound itself, so the search stops once it has found more than
+        bound / p cosets and returns bound.  A search cut short records
+        only true moves, so later queries on the chain stay exact.
         """
         if bound == 1:
             return 1
+        stop = None if bound is None else bound // _least_prime_factor(bound)
         if self._coset_levels is None:
-            # Per level: the images of x on the orbit, the base point, and
-            # the transversal; t_a * x is t_a translated by x's table.
+            # Per level: the points off the base point's orbit, and the
+            # inverse tables of the transversal.
             self._coset_levels = [
-                (itemgetter(*lvl.transversal), lvl.point, lvl.transversal)
+                (bytes(set(range(self.degree)) - lvl.transversal.keys()),
+                 lvl.point, lvl.inverse)
                 for lvl in self.levels
                 if len(lvl.transversal) > 1
             ]
@@ -464,40 +509,48 @@ class StabilizerChain:
             if step is None:
                 table, inverse_table = self._table(g)
                 step = moves[g.images] = (
-                    table, array("i", [-1]) * len(reps), table == inverse_table)
+                    inverse_table[:self.degree],
+                    array("i", [-1]) * len(reps), table == inverse_table)
             steps.append(step)
+        tail = self._tail
         seen = {0}
         frontier = [0]
         while frontier:
             found = []
             for x in frontier:
-                for table, move, involution in steps:
+                for inverse, move, involution in steps:
                     y = move[x]
                     if y < 0:
-                        y = move[x] = self._number(reps[x].translate(table))
+                        y = move[x] = self._number(
+                            inverse.translate(reps[x] + tail))
                         if involution:
                             move[y] = x
                     if y not in seen:
-                        if len(seen) + 1 == bound:
+                        if len(seen) == stop:
                             return bound
                         seen.add(y)
                         found.append(y)
             frontier = found
         return len(seen)
 
-    def _number(self, images):
-        """Number of the coset G*x, x given by the bytes of its images; new
-        cosets get the next number."""
-        for on_orbit, point, transversal in self._coset_levels:
-            a = images.index(min(on_orbit(images)))
+    def _number(self, inverse):
+        """Number of the coset G*x, x^-1 given by the bytes of its images;
+        new cosets get the next number."""
+        for off_orbit, point, inverses in self._coset_levels:
+            a = inverse.translate(None, off_orbit)[0]
             if a != point:
-                images = transversal[a].translate(images + self._tail)
-        number = self._rep_number.setdefault(images, len(self._reps))
+                inverse = inverse.translate(inverses[a])
+        number = self._rep_number.setdefault(inverse, len(self._reps))
         if number == len(self._reps):
-            self._reps.append(images)
+            self._reps.append(inverse)
             for _, move, _ in self._moves.values():
                 move.append(-1)
         return number
+
+
+def _least_prime_factor(n):
+    """The least prime dividing n > 1."""
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
 
 
 class PermGroup:

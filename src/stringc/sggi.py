@@ -12,6 +12,8 @@ superpair; and the standard recursive criterion over intervals.
 
 from __future__ import annotations
 
+import math
+
 from .perms import StabilizerChain, brute_force_elements
 
 # Unused here, but bench/tracing.py patches stringc.sggi by this name.
@@ -179,6 +181,15 @@ class SubsetLattice:
     <J minus its highest index> by that generator, built first if need be;
     the empty mask and single generators are built from scratch.  Shared by
     the naive and recursive checkers so verification builds it only once.
+
+    Split J into its top run, the highest run of consecutive indices, and
+    the rest.  If every generator of the rest commutes with every
+    generator of the run, the two subgroups commute elementwise, so <J> is
+    their product and |<J>| <= |<rest>| * |<run>|.  When |<run>| is known
+    already (no chain is built only for a bound), the chain of <J> is built
+    with that bound, and is complete without sifting when its basic orbits
+    reach it.  An sggi's rest and top run are never adjacent, so on its
+    generators they always commute.
     """
 
     def __init__(self, generators):
@@ -188,9 +199,19 @@ class SubsetLattice:
         self._orders = {}
         self._elsets = {}
         self._pair_orders = {}
+        self._commutes = {}
 
     def gens(self, mask):
         return [g for i, g in enumerate(self.generators) if mask >> i & 1]
+
+    def _commuting(self, i):
+        """Mask of the indices whose generators commute with generator i."""
+        mask = self._commutes.get(i)
+        if mask is None:
+            g = self.generators[i]
+            mask = self._commutes[i] = sum(
+                1 << j for j, h in enumerate(self.generators) if g * h == h * g)
+        return mask
 
     def chain(self, mask):
         chain = self._chains.get(mask)
@@ -199,9 +220,17 @@ class SubsetLattice:
                 chain = StabilizerChain(self.gens(mask), self.degree)
             else:
                 top = mask.bit_length() - 1
+                low = (~mask & ((1 << top) - 1)).bit_length()
+                rest = mask & ((1 << low) - 1)  # the top run is low..top
+                run = mask ^ rest
+                bound = None
+                if rest and run in self._orders and all(
+                        rest & ~self._commuting(i) == 0
+                        for i in range(low, top + 1)):
+                    bound = self.order(rest) * self._orders[run]
                 chain = StabilizerChain(
                     [self.generators[top]], self.degree,
-                    extends=self.chain(mask & ~(1 << top)))
+                    extends=self.chain(mask & ~(1 << top)), bound=bound)
             self._chains[mask] = chain
         return chain
 
@@ -233,8 +262,12 @@ class SubsetLattice:
         S is the smaller of the two subgroups and L the larger.  The orbit
         has |S| / |S meet L| cosets, and <J & K> <= S meet L, so it has at
         most bound = |S| / |<J & K>|: past _ORBIT_CAP this raises
-        IPBudgetExceeded instead, and otherwise the orbit search stops once
-        it has found bound cosets, which proves the meet is <J & K>.
+        IPBudgetExceeded instead.  Otherwise, since |S meet L| divides both
+        |S| and |L| and is a multiple of |<J & K>|, gcd(|S|, |L|) =
+        |<J & K>| proves the meet is <J & K> with no orbit run; failing
+        that, the orbit's size divides bound, and the orbit search stops
+        as soon as Lagrange's theorem shows it is bound (see
+        StabilizerChain.coset_orbit_size).
         """
         key = (min(mask_j, mask_k), max(mask_j, mask_k))
         if key not in self._pair_orders:
@@ -246,8 +279,12 @@ class SubsetLattice:
                     f"{self.order(large)} may need {bound} cosets, over the "
                     f"cap of {_ORBIT_CAP}"
                 )
-            orbit = self.chain(large).coset_orbit_size(self.gens(small), bound)
-            self._pair_orders[key] = self.order(small) // orbit
+            meet = self.order(mask_j & mask_k)
+            if math.gcd(self.order(small), self.order(large)) != meet:
+                orbit = self.chain(large).coset_orbit_size(
+                    self.gens(small), bound)
+                meet = self.order(small) // orbit
+            self._pair_orders[key] = meet
         return self._pair_orders[key]
 
 

@@ -1,5 +1,6 @@
 """Permutation and group engine tests, including brute-force oracles."""
 
+import itertools
 import math
 import pickle
 import random
@@ -507,6 +508,54 @@ class TestCosetOrbit:
         chain = StabilizerChain([parse_perm("(1,2,3,4,5)", 5),
                                  parse_perm("(1,2)", 5)], 5)
         assert chain.coset_orbit_size([parse_perm("(2,4)(3,5)", 5)]) == 1
+
+    def test_bounded_and_unbounded_orbits_agree(self):
+        # For S and G drawn from a shared pool and every subgroup T of
+        # S meet G generated by one or two elements of a sample of it, the
+        # orbit size divides |S| / |T|, and a query with that bound gives
+        # the unbounded size: on a fresh chain, and on one chain that every
+        # query shares, bounded and unbounded queries in turn.  Every coset
+        # is named by degree-length bytes.
+        rng = random.Random(53)
+        stopped = short = 0
+        for _ in range(24):
+            n = rng.randint(4, 7)
+            pool = [random_perm(rng, n) for _ in range(4)]
+            s_gens, g_gens = rng.sample(pool, 2), rng.sample(pool, 2)
+            s_elements = brute_force_elements(s_gens, n)
+            meet = s_elements & brute_force_elements(g_gens, n)
+            orbit = len(s_elements) // len(meet)
+            shared = StabilizerChain(g_gens, n)
+            sample = rng.sample(sorted(meet), min(4, len(meet)))
+            for t_gens in [[t] for t in sample] + list(
+                    itertools.combinations(sample, 2)):
+                bound = len(s_elements) // len(
+                    brute_force_elements(t_gens, n))
+                assert bound % orbit == 0
+                fresh = StabilizerChain(g_gens, n)
+                assert fresh.coset_orbit_size(s_gens, bound) == orbit
+                assert shared.coset_orbit_size(s_gens, bound) == orbit
+                assert shared.coset_orbit_size(s_gens) == orbit
+                stopped += 1 < orbit == bound
+                short += orbit < bound
+                names = [*fresh._reps, *shared._reps, *shared._rep_number]
+                assert {len(rep) for rep in names} == {n}
+        assert stopped > 30 and short > 60
+
+    @pytest.mark.parametrize("bound", [2, 7, 8, 9, 12, 15, 25, 49])
+    def test_lagrange_stop_names_just_over_bound_over_p(self, bound):
+        # S cyclic of order bound meets G trivially, so all bound cosets
+        # are in the orbit; a query bounded by bound stops at the first
+        # coset past bound / p, p the least prime factor of bound, having
+        # named bound / p + 1 cosets.
+        cycle = Permutation(list(range(1, bound)) + [0, bound, bound + 1])
+        chain = StabilizerChain([parse_perm(f"({bound + 1},{bound + 2})",
+                                            bound + 2)], bound + 2)
+        assert chain.coset_orbit_size([cycle], bound) == bound
+        p = next(p for p in range(2, bound + 1) if bound % p == 0)
+        assert len(chain._reps) == bound // p + 1
+        assert chain.coset_orbit_size([cycle]) == bound
+        assert len(chain._reps) == bound
 
 
 class TestChainExtension:
