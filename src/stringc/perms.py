@@ -15,11 +15,10 @@ calls Permutation.inverse.  A chain keeps the coset action it has worked out
 that share the chain do not descend it again.  A chain of <H, g> may be built
 by extending a complete chain of H: the new chain starts from H's levels,
 transversals and generator tables and sifts only the Schreier generators
-that H's chain has not already settled, each at most once per level, or
-none when its basic orbits multiply to a bound on |<H, g>| that the caller
-knows.  A coset is named by the inverse of its canonical element, found
-with one translate per level, and a coset orbit whose size is known to
-divide a bound stops as soon as Lagrange's theorem settles it.
+that H's chain has not already settled, each at most once per level.  A
+coset is named by the inverse of its canonical element, found with one
+translate per level, and a coset orbit whose size is known to divide a
+bound stops as soon as Lagrange's theorem settles it.
 """
 
 from __future__ import annotations
@@ -213,8 +212,8 @@ class _Level:
 
     A generator's home level is the first level whose base point it moves;
     the group at level i is generated by the home generators of levels >= i.
-    tables holds the _table pair of each home generator, in the order of
-    gens, so a level's list changes only when a generator is added to it.
+    tables holds the _table pair of each home generator, in the order they
+    were added, so a level's list changes only when a generator is added.
     transversal[b] holds the images of a transversal element as bytes, and
     inverse[b] its inverse as a 256-entry bytes.translate table, kept so
     that sifting and Schreier generators never invert the same element
@@ -225,11 +224,10 @@ class _Level:
     transversal and those generators is known to sift to the identity.
     """
 
-    __slots__ = ("point", "gens", "tables", "transversal", "inverse", "known")
+    __slots__ = ("point", "tables", "transversal", "inverse", "known")
 
     def __init__(self, point, degree):
         self.point = point
-        self.gens = []
         self.tables = []
         self.transversal = {point: _TABLE_IDENTITY[:degree]}
         self.inverse = {point: _TABLE_IDENTITY}
@@ -238,12 +236,10 @@ class _Level:
     def extension(self, tables):
         """A twin for a chain that extends this level's complete chain, with
         tables the _table pairs of the generators of this level's group.
-        The twin has its own gens and tables lists and shares the
-        transversal dicts, which _rebuild_transversal replaces and never
-        mutates."""
+        The twin has its own tables list and shares the transversal dicts,
+        which _rebuild_transversal replaces and never mutates."""
         twin = _Level.__new__(_Level)
         twin.point = self.point
-        twin.gens = list(self.gens)
         twin.tables = list(self.tables)
         twin.transversal = self.transversal
         twin.inverse = self.inverse
@@ -262,20 +258,9 @@ class StabilizerChain:
     the chain extended is left as it was.  Inside the chain a permutation is
     the bytes of its images, and products, sifts and coset names are
     bytes.translate calls.
-
-    bound, if given, is an upper bound on the order of the group the chain
-    is built for.  With G_i the group the generators of levels >= i
-    generate, the generators of deeper levels fix the base points b_0..b_i,
-    so G_(i+1) <= Stab_(G_i)(b_i) and |G_i| >= |b_i^G_i| * |G_(i+1)|, with
-    equality exactly when G_(i+1) is that whole stabilizer.  So the basic
-    orbits multiply to at most |G|, and to |G| only when every level is
-    complete.  The build rebuilds the transversals, the basic orbits, first:
-    if their sizes multiply to bound, the chain is complete with no
-    Schreier generator sifted, and it is the chain a full verification
-    builds, as that would find no residue and keep these transversals.
     """
 
-    def __init__(self, generators, degree, extends=None, bound=None):
+    def __init__(self, generators, degree, extends=None):
         if degree > 256:
             raise PermError(f"a stabilizer chain takes at most 256 points, "
                             f"not {degree}")
@@ -307,7 +292,7 @@ class StabilizerChain:
         # Levels past the deepest home are complete already: no new
         # generator lies in their groups.
         if deepest >= 0:
-            self._complete(deepest, bound)
+            self._complete(deepest)
         for lvl in self.levels:
             lvl.known = None  # needed only while the chain is built
 
@@ -332,7 +317,6 @@ class StabilizerChain:
                 self.levels.append(_Level(point, self.degree))
             lvl = self.levels[d]
             if g.images[lvl.point] != lvl.point:
-                lvl.gens.append(g)
                 lvl.tables.append(self._table(g))
                 return d
             d += 1
@@ -371,7 +355,7 @@ class StabilizerChain:
         lvl.transversal, lvl.inverse = transversal, inverse
         return tree
 
-    def _complete(self, start, bound=None):
+    def _complete(self, start):
         # Bottom-up verification from level start, past which every level is
         # complete: a level is complete when all its Schreier generators
         # sift to identity through the (already complete) deeper levels.
@@ -390,26 +374,13 @@ class StabilizerChain:
         # generator, so it lies in the group of the levels past this one,
         # which only grows.  A skipped generator would sift to the identity,
         # so the chain is the one a build without these skips gives.
-        #
-        # Given a bound on the group's order, every transversal is rebuilt
-        # first, and the chain is complete if their sizes multiply to it
-        # (see the class docstring).  Otherwise verification reuses those
-        # transversals until the first residue changes the generators.
         identity = self._identity
-        trees = {}  # level -> tree edges of a transversal rebuilt in advance
-        if bound is not None:
-            for i in range(start, -1, -1):
-                trees[i] = self._rebuild_transversal(i, self._tables_at(i))
-            if self.order() == bound:
-                return
         sifted = {}  # Schreier generator images -> deepest level sifted at
         i = start
         while i >= 0:
             lvl = self.levels[i]
             tables = self._tables_at(i)
-            tree = trees.pop(i, None)
-            if tree is None:
-                tree = self._rebuild_transversal(i, tables)
+            tree = self._rebuild_transversal(i, tables)
             known_orbit, _, known_tables = lvl.known
             inverse = lvl.inverse
             every = range(len(tables))
@@ -428,7 +399,6 @@ class StabilizerChain:
                     residue = self._sift(schreier, i + 1)
                     if residue != identity:
                         home = self._add(Permutation._raw(tuple(residue)), i + 1)
-                        trees.clear()
                         break
                 if home is not None:
                     break

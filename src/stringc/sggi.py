@@ -181,15 +181,6 @@ class SubsetLattice:
     <J minus its highest index> by that generator, built first if need be;
     the empty mask and single generators are built from scratch.  Shared by
     the naive and recursive checkers so verification builds it only once.
-
-    Split J into its top run, the highest run of consecutive indices, and
-    the rest.  If every generator of the rest commutes with every
-    generator of the run, the two subgroups commute elementwise, so <J> is
-    their product and |<J>| <= |<rest>| * |<run>|.  When |<run>| is known
-    already (no chain is built only for a bound), the chain of <J> is built
-    with that bound, and is complete without sifting when its basic orbits
-    reach it.  An sggi's rest and top run are never adjacent, so on its
-    generators they always commute.
     """
 
     def __init__(self, generators):
@@ -199,19 +190,9 @@ class SubsetLattice:
         self._orders = {}
         self._elsets = {}
         self._pair_orders = {}
-        self._commutes = {}
 
     def gens(self, mask):
         return [g for i, g in enumerate(self.generators) if mask >> i & 1]
-
-    def _commuting(self, i):
-        """Mask of the indices whose generators commute with generator i."""
-        mask = self._commutes.get(i)
-        if mask is None:
-            g = self.generators[i]
-            mask = self._commutes[i] = sum(
-                1 << j for j, h in enumerate(self.generators) if g * h == h * g)
-        return mask
 
     def chain(self, mask):
         chain = self._chains.get(mask)
@@ -220,17 +201,9 @@ class SubsetLattice:
                 chain = StabilizerChain(self.gens(mask), self.degree)
             else:
                 top = mask.bit_length() - 1
-                low = (~mask & ((1 << top) - 1)).bit_length()
-                rest = mask & ((1 << low) - 1)  # the top run is low..top
-                run = mask ^ rest
-                bound = None
-                if rest and run in self._orders and all(
-                        rest & ~self._commuting(i) == 0
-                        for i in range(low, top + 1)):
-                    bound = self.order(rest) * self._orders[run]
                 chain = StabilizerChain(
                     [self.generators[top]], self.degree,
-                    extends=self.chain(mask & ~(1 << top)), bound=bound)
+                    extends=self.chain(mask & ~(1 << top)))
             self._chains[mask] = chain
         return chain
 

@@ -646,13 +646,13 @@ class TestChainExtension:
             queries = [[random_perm(rng, n)] for _ in range(4)]
             before = [base.coset_orbit_size(q) for q in queries]
             order = base.order()
-            level_gens = [list(lvl.gens) for lvl in base.levels]
+            level_tables = [list(lvl.tables) for lvl in base.levels]
             transversals = [dict(lvl.transversal) for lvl in base.levels]
             reps = list(base._reps)
             extended = StabilizerChain([random_perm(rng, n)], n, extends=base)
             extended.coset_orbit_size(queries[0])
             assert base.order() == order
-            assert [lvl.gens for lvl in base.levels] == level_gens
+            assert [lvl.tables for lvl in base.levels] == level_tables
             assert [lvl.transversal for lvl in base.levels] == transversals
             assert base._reps == reps
             assert [base.coset_orbit_size(q) for q in queries] == before
