@@ -12,13 +12,14 @@ table: each generator's table and its inverse's are built once, and each
 transversal element is stored beside its inverse's table, so the chain never
 calls Permutation.inverse.  A chain keeps the coset action it has worked out
 (numbered cosets and the moves between them) for its whole life, so meets
-that share the chain do not descend it again.  A chain of <H, g> may be built
-by extending a complete chain of H: the new chain starts from H's levels,
-transversals and generator tables and sifts only the Schreier generators
-that H's chain has not already settled, each at most once per level.  A
-coset is named by the inverse of its canonical element, found with one
-translate per level, and a coset orbit whose size is known to divide a
-bound stops as soon as Lagrange's theorem settles it.
+that share the chain do not descend it again.  Transversals only grow, and
+a stored element never changes.  A chain of <H, g> may be built by
+extending a complete chain of H: it shares H's transversals until it adds a
+point to one, and sifts only the Schreier generators that H's chain has not
+settled, each at most once per level.  A coset is named by the inverse of
+its canonical element, found with one translate per level, and a coset
+orbit whose size is known to divide a bound stops as soon as Lagrange's
+theorem settles it.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class Permutation:
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)\s*")
 
 
 def parse_perm(text, degree):
@@ -185,6 +186,8 @@ def parse_perm(text, degree):
     stripped = text.strip()
     if stripped in ("id", "()"):
         return Permutation.identity(degree)
+    if not stripped:
+        raise PermError("empty cycle notation")
     cycles = []
     pos = 0
     while pos < len(stripped):
@@ -196,8 +199,6 @@ def parse_perm(text, degree):
             raise PermError("cycles need at least two points")
         cycles.append(cycle)
         pos = m.end()
-        while pos < len(stripped) and stripped[pos].isspace():
-            pos += 1
     return Permutation.from_cycles(cycles, degree)
 
 
@@ -217,11 +218,13 @@ class _Level:
     transversal[b] holds the images of a transversal element as bytes, and
     inverse[b] its inverse as a 256-entry bytes.translate table, kept so
     that sifting and Schreier generators never invert the same element
-    twice.
+    twice.  Both dicts only grow, in insertion order, and a stored element
+    never changes.
 
-    While a chain is built, known holds a transversal, its inverses and a
-    set of generator tables such that every Schreier generator of that
-    transversal and those generators is known to sift to the identity.
+    While a chain is built, known is a pair (count, tables): the orbit is
+    closed under the generators whose translate tables are in the set
+    tables, and the Schreier generators of those generators and the first
+    count points of the transversal are known to sift to the identity.
     """
 
     __slots__ = ("point", "tables", "transversal", "inverse", "known")
@@ -231,20 +234,19 @@ class _Level:
         self.tables = []
         self.transversal = {point: _TABLE_IDENTITY[:degree]}
         self.inverse = {point: _TABLE_IDENTITY}
-        self.known = (self.transversal, self.inverse, frozenset())
+        self.known = (0, frozenset())
 
     def extension(self, tables):
         """A twin for a chain that extends this level's complete chain, with
         tables the _table pairs of the generators of this level's group.
         The twin has its own tables list and shares the transversal dicts,
-        which _rebuild_transversal replaces and never mutates."""
+        which StabilizerChain._grow copies before it adds a point."""
         twin = _Level.__new__(_Level)
         twin.point = self.point
         twin.tables = list(self.tables)
         twin.transversal = self.transversal
         twin.inverse = self.inverse
-        twin.known = (self.transversal, self.inverse,
-                      {table for table, _ in tables})
+        twin.known = (len(self.transversal), {table for table, _ in tables})
         return twin
 
 
@@ -325,35 +327,33 @@ class StabilizerChain:
         """The _table pairs of the generators of the group at level."""
         return [t for lvl in self.levels[level:] for t in lvl.tables]
 
-    def _rebuild_transversal(self, level, tables):
-        """Extend the level's known transversal to the orbit of the
-        generators whose _table pairs are given.
+    @staticmethod
+    def _grow(lvl, tables):
+        """Close the level's orbit under the generators of the _table pairs
+        given; returns the pairs not known to the level.
 
-        The BFS runs in sorted order, which keeps the transversal
-        deterministic.  Returns the tree edges: the pairs (a, j) that
-        defined transversal[a^g] = transversal[a] * g for the generator g
-        of tables[j].  The inverse of t * g is g^-1 * t^-1, one translate
-        of g^-1's table.
+        The orbit is closed under the known generators, so only the known
+        points under the others, then each new point under all of them, can
+        reach a new point.  The first new point copies the level's dicts,
+        which chains that extend this one may share.  The inverse of t * g
+        is g^-1 * t^-1, one translate of g^-1's table.
         """
-        lvl = self.levels[level]
-        transversal, inverse = dict(lvl.known[0]), dict(lvl.known[1])
-        tree = set()
-        frontier = list(transversal)
-        while frontier:
-            frontier.sort()
-            nxt = []
-            for a in frontier:
-                t = transversal[a]
-                for j, (table, inverse_table) in enumerate(tables):
+        known = lvl.known[1]
+        fresh = [pair for pair in tables if pair[0] not in known]
+        transversal, inverse = lvl.transversal, lvl.inverse
+        new = []
+        for points, pairs in ((list(transversal), fresh), (new, tables)):
+            for a in points:
+                for table, inverse_table in pairs:
                     b = table[a]
                     if b not in transversal:
-                        transversal[b] = t.translate(table)
+                        if not new:
+                            transversal = lvl.transversal = dict(transversal)
+                            inverse = lvl.inverse = dict(inverse)
+                        transversal[b] = transversal[a].translate(table)
                         inverse[b] = inverse_table.translate(inverse[a])
-                        tree.add((a, j))
-                        nxt.append(b)
-            frontier = nxt
-        lvl.transversal, lvl.inverse = transversal, inverse
-        return tree
+                        new.append(b)
+        return fresh
 
     def _complete(self, start):
         # Bottom-up verification from level start, past which every level is
@@ -362,37 +362,35 @@ class StabilizerChain:
         # New residues restart verification at their home level.
         #
         # Three kinds of Schreier generator t_a * g * t_(a^g)^-1 are skipped
-        # unsifted.  On a tree edge, t_(a^g) is t_a * g itself, so the
-        # generator is the identity.  For a on the known transversal's orbit
-        # and g among the known generators, t_a and t_(a^g) are the known
-        # transversal's, so the generator was sifted to the identity before:
-        # it lies in the group the deeper levels had then, which they still
-        # contain, complete.  That holds for the chain extended (its levels
-        # were complete) and for a level verified earlier in this build.
-        # Last, a generator already sifted in this build, from this level or
-        # a deeper one: its residue was the identity or was added as a
-        # generator, so it lies in the group of the levels past this one,
-        # which only grows.  A skipped generator would sift to the identity,
-        # so the chain is the one a build without these skips gives.
+        # unsifted.  When t_a * g is t_(a^g) itself, as on the edge that
+        # stored t_(a^g), the generator is the identity.  For a among the
+        # first count points and g among the known generators, t_a and
+        # t_(a^g) never changed, so the generator was sifted to the identity
+        # before: it lies in the group the deeper levels had then, which
+        # they still contain, complete.  That holds for the chain extended
+        # (its levels were complete) and for a level verified earlier in
+        # this build.  Last, a generator already sifted in this build, from
+        # this level or a deeper one: its residue was the identity or was
+        # added as a generator, so it lies in the group of the levels past
+        # this one, which only grows.  A skipped generator would sift to the
+        # identity, so the skips change no order.
         identity = self._identity
         sifted = {}  # Schreier generator images -> deepest level sifted at
         i = start
         while i >= 0:
             lvl = self.levels[i]
             tables = self._tables_at(i)
-            tree = self._rebuild_transversal(i, tables)
-            known_orbit, _, known_tables = lvl.known
-            inverse = lvl.inverse
-            every = range(len(tables))
-            fresh = [j for j in every if tables[j][0] not in known_tables]
+            fresh = self._grow(lvl, tables)
+            count = lvl.known[0]
+            transversal, inverse = lvl.transversal, lvl.inverse
             home = None
-            for a in sorted(lvl.transversal):
-                t = lvl.transversal[a]
-                for j in fresh if a in known_orbit else every:
-                    if (a, j) in tree:
+            for k, (a, t) in enumerate(transversal.items()):
+                for table, _ in fresh if k < count else tables:
+                    b = table[a]
+                    product = t.translate(table)
+                    if product == transversal[b]:
                         continue
-                    table = tables[j][0]
-                    schreier = t.translate(table).translate(inverse[table[a]])
+                    schreier = product.translate(inverse[b])
                     if sifted.get(schreier, -1) >= i:
                         continue
                     sifted[schreier] = i
@@ -405,8 +403,7 @@ class StabilizerChain:
             if home is not None:
                 i = home
             else:
-                lvl.known = (lvl.transversal, lvl.inverse,
-                             {table for table, _ in tables})
+                lvl.known = (len(transversal), {table for table, _ in tables})
                 i -= 1
 
     def _sift(self, images, start):

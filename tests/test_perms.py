@@ -112,7 +112,7 @@ class TestParse:
             parse_perm("(1,5)", 4)
 
     def test_malformed_rejected(self):
-        for bad in ["(1,2", "1,2", "(1)", "(1,2)x", "(a,b)"]:
+        for bad in ["(1,2", "1,2", "(1)", "(1,2)x", "(a,b)", "", "   "]:
             with pytest.raises(PermError):
                 parse_perm(bad, 4)
 
@@ -292,6 +292,22 @@ class TestDegreeCap:
         assert chain.order() == 256
         assert chain.contains(cycle**7)
         assert not chain.contains(parse_perm("(1,2)", 256))
+
+    def test_extension_on_256_points(self):
+        # Two disjoint 128-cycles, extended by the swap of the halves: the
+        # first orbit grows from 128 to 256 points in the extension only.
+        double = Permutation([i // 128 * 128 + (i + 1) % 128 for i in range(256)])
+        first_half = Permutation([(i + 1) % 128 if i < 128 else i for i in range(256)])
+        swap = Permutation([(i + 128) % 256 for i in range(256)])
+        base = StabilizerChain([double], 256)
+        transversals = [dict(lvl.transversal) for lvl in base.levels]
+        extended = StabilizerChain([swap], 256, extends=base)
+        assert base.order() == 128 and extended.order() == 256
+        assert extended.contains(swap) and extended.contains(double**5 * swap)
+        assert not extended.contains(first_half)
+        assert not base.contains(swap)
+        assert [lvl.transversal for lvl in base.levels] == transversals
+        assert len(extended.levels[0].transversal) == 256
 
     def test_257_points_rejected(self):
         with pytest.raises(PermError, match="at most 256 points"):
