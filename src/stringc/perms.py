@@ -521,13 +521,10 @@ def _least_prime_factor(n):
 
 
 class PermGroup:
-    """Group generated by a list of Permutations, with a lazy chain.
+    """Group generated by a list of Permutations, with a lazy chain built at
+    most once, on first use."""
 
-    The chain is built at most once, on first use, unless the caller passes
-    a complete chain of the group that it has already built.
-    """
-
-    def __init__(self, generators, degree=None, chain=None):
+    def __init__(self, generators, degree=None):
         generators = list(generators)
         if degree is None:
             if not generators:
@@ -538,7 +535,7 @@ class PermGroup:
                 raise PermError("generators have mixed degrees")
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
-        self._chain = chain
+        self._chain = None
 
     @property
     def chain(self):

@@ -5,9 +5,9 @@ string positions commute.  This module validates them, computes Schlafli
 symbols, checks independence and the intersection property, and forms duals.
 Independence is mostly read off the orders of two intervals.  The
 intersection property has two checks: a naive oracle that decides every pair
-of generator subsets, most from a widest pair, most widest pairs by a narrow
-pair inside a holding superpair, and most narrow pairs by their co-singleton
-superpair; and the standard recursive criterion over intervals.
+of generator subsets, most from their widest superpair and most widest pairs
+by a narrow pair inside a holding superpair, decided the same way; and the
+standard recursive criterion over intervals.
 """
 
 from __future__ import annotations
@@ -177,10 +177,11 @@ class SubsetLattice:
     or their images on a block system, which may be the identity or repeat.
 
     Chains and orders are kept per mask and meets per unordered mask pair.
-    The chain of <J>, for J of two or more generators, extends the chain of
-    <J minus its highest index> by that generator, built first if need be;
-    the empty mask and single generators are built from scratch.  Shared by
-    the naive and recursive checkers so verification builds it only once.
+    The chain of the empty mask is built on its own, and the chain of
+    any other <J> extends the chain of <J minus its highest index> by that
+    generator, built first if need be, so all chains share one table cache.
+    Shared by the naive and recursive checkers so verification builds it
+    only once.
     """
 
     def __init__(self, generators):
@@ -197,13 +198,13 @@ class SubsetLattice:
     def chain(self, mask):
         chain = self._chains.get(mask)
         if chain is None:
-            if mask & (mask - 1) == 0:  # no generator or one
-                chain = StabilizerChain(self.gens(mask), self.degree)
-            else:
+            if mask:
                 top = mask.bit_length() - 1
                 chain = StabilizerChain(
                     [self.generators[top]], self.degree,
                     extends=self.chain(mask & ~(1 << top)))
+            else:
+                chain = StabilizerChain([], self.degree)
             self._chains[mask] = chain
         return chain
 
@@ -271,74 +272,61 @@ def _pair_holds(lattice, mask_j, mask_k):
         mask_j & mask_k)
 
 
-def _widest_holds(lattice, verdicts, walking, mask_a, mask_b):
+def _holds(lattice, verdicts, mask_j, mask_k):
+    """Whether (J, K) holds: its widest superpair (J | rest, K) is known to
+    hold, or else its own meet shows it; IPBudgetExceeded past the cap."""
+    full = (1 << len(lattice.generators)) - 1
+    wide = mask_j | (full & ~(mask_j | mask_k))  # J | rest
+    return (_widest_holds(lattice, verdicts, wide, mask_k)
+            or _pair_holds(lattice, mask_j, mask_k))
+
+
+def _widest_holds(lattice, verdicts, mask_a, mask_b):
     """Whether the widest pair (A, B) is known to hold: it holds and its
     own orbit bound is within _ORBIT_CAP.
 
-    verdicts maps each widest pair decided so far, as (lower, higher)
-    mask, to that boolean, and walking holds the pairs of every walk still
-    in progress.  A pair is decided after its superpair, so the superpairs
-    not yet in verdicts are walked up first, then decided on the way back
-    down.  A narrow pair's co-singleton superpair is decided before it by
-    a nested walk, unless that pair is in progress itself, and then the
-    narrow pair is met.  Each nested walk puts at least one new pair in
-    progress, so the nesting ends.
+    verdicts maps each widest pair, as (lower, higher) mask, to that
+    boolean; a pair being decided reads False until it is.
     """
-    pending = []  # (widest pair, index i of its narrow pair, or 0)
-    key = pair = (min(mask_a, mask_b), max(mask_a, mask_b))
-    while pair not in verdicts:
-        mask_a, mask_b = pair
-        only_a, only_b = mask_a & ~mask_b, mask_b & ~mask_a
-        if only_a & (only_a - 1):  # |A - B| >= 2: widen B by A's lowest
-            i = only_a & -only_a
-            wider = (mask_a, mask_b | i)
-        elif only_b & (only_b - 1):  # |B - A| >= 2: widen A by B's lowest
-            i = only_b & -only_b
-            wider = (mask_a | i, mask_b)
-        else:
-            pending.append((pair, 0))  # a base pair
-            break
-        pending.append((pair, i))
-        pair = (min(wider), max(wider))
-    walking.update(p for p, _ in pending)
-    held = verdicts.get(pair, False)  # the verdict of the last superpair
-    for pair, i in reversed(pending):
-        if i and held and lattice.orbit_bound(*pair) <= _ORBIT_CAP:
-            # The narrow pair (A, N) holds if its co-singleton superpair
-            # (every index but i, N) does, and is met only if not.
-            mask_a, mask_b = pair
-            narrow = (mask_a & mask_b) | i
-            lone = (mask_a | mask_b) & ~i
-            upper = (min(lone, narrow), max(lone, narrow))
-            held = (
-                (upper not in walking
-                 and _widest_holds(lattice, verdicts, walking, *upper))
-                or _pair_holds(lattice, mask_b if mask_a & i else mask_a,
-                               narrow))
-        else:
-            try:
-                held = _pair_holds(lattice, *pair)
-            except IPBudgetExceeded:
-                held = False  # not known to hold: meet each pair itself
-        verdicts[pair] = held
-        walking.discard(pair)
-    return verdicts[key]
+    key = (min(mask_a, mask_b), max(mask_a, mask_b))
+    held = verdicts.get(key)
+    if held is not None:
+        return held
+    verdicts[key] = False  # being decided: not known to hold
+    only_a, only_b = mask_a & ~mask_b, mask_b & ~mask_a
+    if only_a & (only_a - 1):  # |A - B| >= 2: widen B by A's lowest
+        i = only_a & -only_a
+        wider, side = (mask_a, mask_b | i), mask_b
+    elif only_b & (only_b - 1):  # |B - A| >= 2: widen A by B's lowest
+        i = only_b & -only_b
+        wider, side = (mask_a | i, mask_b), mask_a
+    else:
+        i = 0  # a base pair
+    if (i and _widest_holds(lattice, verdicts, *wider)
+            and lattice.orbit_bound(mask_a, mask_b) <= _ORBIT_CAP):
+        held = _holds(lattice, verdicts, side, (mask_a & mask_b) | i)
+    else:
+        try:
+            held = _pair_holds(lattice, mask_a, mask_b)
+        except IPBudgetExceeded:
+            held = False  # not known to hold: meet each pair itself
+    verdicts[key] = held
+    return held
 
 
 def _check_naive(s: Sggi, lattice=None) -> IPResult:
     """Every non-nested pair (J, K) in increasing-bitmask order; most are
-    decided by their widest superpair, most widest pairs by a narrow pair
-    inside a holding superpair, and most narrow pairs by their own widest
-    superpair.
+    decided by their widest superpair, and most widest pairs by a narrow
+    pair inside a holding superpair, itself decided as any pair is.
 
     Pairs from widest pairs.  With rest the indices in neither J nor K and
     J' = J | rest, J' & K = J & K, so <J & K> <= <J> meet <K> <= <J'> meet
     <K> = <J & K> whenever (J', K) holds: the pair holds too.  Its orbit
     bound min(|<J>|, |<K>|) / |<J & K>| is at most that of (J', K), so a
     wider pair inside the cap also puts the pair inside it.  Only when
-    (J', K) fails or is over the cap is the pair met itself, so each pair's
-    outcome, and the first failure (the witness) or budget raise, is the
-    one the direct meet gives.
+    (J', K) fails or is over the cap is the pair met itself (_holds), so
+    each pair's outcome, and the first failure (the witness) or budget
+    raise, is the one the direct meet gives.
 
     Widest pairs from superpairs.  A widest pair (A, B) has A | B covering
     every index and neither side containing the other.  Say |B - A| >= 2
@@ -350,29 +338,27 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
         <A> meet <B> = <A> meet (<A + i> meet <B>) = <A> meet <(A & B) + i>,
 
     and A & ((A & B) + i) = A & B as i is not in A.  So (A, B) holds
-    exactly when the narrow pair (A, (A & B) + i) does.  The narrow pair's
-    orbit bound is at most |<(A & B) + i>| / |<A & B>|, and never exceeds
-    the widest pair's own bound min(|<A>|, |<B>|) / |<A & B>|; a widest
-    pair counts as holding only when its own bound is within the cap, so
-    the narrow meet cannot raise, and every pair below raises exactly when
-    its direct meet would.  A widest pair whose superpair is not known to
-    hold is met at full width, as are the r(r-1)/2 base pairs (every index
-    but b, every index but a), which have no superpair.
+    exactly when the narrow pair (A, (A & B) + i) does, and the narrow
+    pair is decided by the first step: its widest superpair is (every
+    index but i, (A & B) + i), and only if that is not known to hold is
+    the narrow pair met.  The narrow pair's orbit bound is at most
+    |<(A & B) + i>| / |<A & B>|, and never exceeds the widest pair's own
+    bound min(|<A>|, |<B>|) / |<A & B>|, which is checked against the cap
+    first, so the narrow meet cannot raise.  A widest pair whose superpair
+    is not known to hold is met at full width, and a raise there counts
+    as not known to hold; so are the r(r-1)/2 base pairs (every index but
+    b, every index but a), which have no superpair.
 
-    Narrow pairs from co-singleton superpairs.  The narrow pair (A, N),
-    N = (A & B) + i, is a pair like any other, so the first step applies
-    to it: the indices in neither side are those outside A + i, so its
-    widest superpair is (every index but i, N), one side missing a single
-    index.  When that pair is known to hold, so does the narrow pair, and
-    its stored verdict replaces the meet.  It is decided first, by a
-    nested walk, unless it is on a walk still in progress; only a narrow
-    pair whose co-singleton superpair is not known to hold is met.  The
-    rule is exact, so no verdict changes; a narrow meet it saves could not
-    raise, and a walk counts a widest pair over the cap as not known to
-    hold instead of raising.  So each pair's outcome, the witness and any
-    budget raise are still those of the direct meets.  None of the three
-    steps uses the commuting property or the interval reduction, so the
-    oracle stays independent of the recursive check.
+    Verdicts do not depend on the route.  A widest pair's verdict always
+    means "holds, and its own bound is within the cap", whichever step
+    decides it, so a pair read as not known to hold only sends the pairs
+    below it to their own meets: that changes which meets are made, never
+    a verdict, the witness or a budget raise.  Deciding a narrow pair can
+    lead back to a widest pair still being decided, so _widest_holds
+    marks each pair not known to hold before it recurses; without the
+    mark the recursion cycles.  None of the steps uses the commuting
+    property or the interval reduction, so the oracle stays independent
+    of the recursive check.
     """
     if s.rank > _NAIVE_MAX_RANK:
         raise IPBudgetExceeded(
@@ -381,7 +367,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
         )
     lattice = lattice or SubsetLattice(s.gens)
     full = (1 << s.rank) - 1
-    verdicts, walking = {}, set()
+    verdicts = {}
 
     # A pair fails exactly when its mirror does, and the mirror of (j, k)
     # with j > k comes earlier in the ordered scan, so the unordered pairs
@@ -391,16 +377,7 @@ def _check_naive(s: Sggi, lattice=None) -> IPResult:
             meet = mask_j & mask_k
             if meet in (mask_j, mask_k):
                 continue  # one side contains the other: holds trivially
-            wide = mask_j | (full & ~(mask_j | mask_k))  # J | rest
-            # Looked up here first: all but the first pair below a widest
-            # pair find its verdict already kept.
-            held = verdicts.get(
-                (wide, mask_k) if wide < mask_k else (mask_k, wide))
-            if held is None:
-                held = _widest_holds(lattice, verdicts, walking, wide, mask_k)
-            if held:
-                continue
-            if not _pair_holds(lattice, mask_j, mask_k):
+            if not _holds(lattice, verdicts, mask_j, mask_k):
                 to_set = lambda m: frozenset(
                     i for i in range(s.rank) if m >> i & 1
                 )
@@ -428,13 +405,12 @@ def _check_recursive(s: Sggi, lattice=None) -> IPResult:
         for lo in range(0, s.rank - length + 1):
             hi = lo + length - 1
             try:
-                meet = lattice.intersection_order(
-                    _interval_mask(lo, hi - 1), _interval_mask(lo + 1, hi)
-                )
+                held = _pair_holds(lattice, _interval_mask(lo, hi - 1),
+                                   _interval_mask(lo + 1, hi))
             except IPBudgetExceeded as exc:
                 skipped = skipped or f"interval [{lo},{hi}]: {exc}"
                 continue
-            if meet != lattice.order(_interval_mask(lo + 1, hi - 1)):
+            if not held:
                 return IPResult(
                     False,
                     (frozenset(range(lo, hi)), frozenset(range(lo + 1, hi + 1))),

@@ -412,8 +412,8 @@ class TestNaiveWiderPairs:
     def test_fixture_meets_narrow_pairs_whose_superpair_fails(
             self, perturbed_simplices, monkeypatch):
         # A narrow pair (A, N), N - A = {j}, of a holding widest pair is
-        # met directly only when its co-singleton superpair (every index
-        # but j, N) is not known to hold.  The comparisons with
+        # met directly only when its own widest superpair (every index but
+        # j, N) is not known to hold.  The comparisons with
         # reference_naive test that branch only if the fixture reaches it
         # with a superpair that fails.
         walks, met = [0], []
@@ -442,6 +442,30 @@ class TestNaiveWiderPairs:
             assert j and not j & (j - 1)
             failing += not pair_holds(lattice, full & ~j, n)
         assert failing > 0
+
+    def test_recursion_depth_at_most_rank_plus_one(self, perturbed_simplices,
+                                                   monkeypatch):
+        # The in-progress mark stops every cycle, and each nested call
+        # either widens a side or decides a narrow pair's widest superpair,
+        # so the recursion stays shallow.
+        depth, deepest = [0], [0]
+        widest_holds = sggi._widest_holds
+
+        def nested(*args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return widest_holds(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(sggi, "_widest_holds", nested)
+        catalog = [graph_to_sggi(instantiate_family(family_id, {"n": 14}))
+                   for family_id in ("T4#5", "T8#5")]
+        for s in perturbed_simplices + catalog:
+            deepest[0] = 0
+            check_intersection_property(s, "naive")
+            assert 0 < deepest[0] <= s.rank + 1, s
 
     @pytest.mark.parametrize("cap", [0, 2, 6, 12])
     def test_budget_raises_match_reference(self, perturbed_simplices,
